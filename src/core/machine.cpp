@@ -1,19 +1,38 @@
 #include "core/machine.hpp"
 
-#include "net/reliable.hpp"
-#include "util/assert.hpp"
+#include "util/alloc_count.hpp"
+#include "util/buffer.hpp"
 
 namespace mdo::core {
 
-void Machine::kill_pe(Pe) {
-  MDO_CHECK_MSG(false, "this machine does not support crash injection");
-}
-
-const net::ReliabilityStack& Machine::reliability() const {
-  // Machines without an installed stack share one empty instance so
-  // callers can probe `.installed()` without null checks.
-  static const net::ReliabilityStack empty{};
-  return empty;
+void Machine::register_sched_metrics(
+    obs::MetricRegistry& reg, std::function<SchedSample()> sample) const {
+  reg.add_source("rt.sched", [this, sample = std::move(sample)](
+                                 obs::MetricSink& sink) {
+    const SchedSample s = sample();
+    const ParkingLot::Counters stall = parking_.counters();
+    sink.counter("msgs_executed", s.total.msgs_executed);
+    sink.counter("msgs_sent", s.total.msgs_sent);
+    sink.counter("msgs_dropped", s.total.msgs_dropped);
+    sink.counter("busy_ns", static_cast<std::uint64_t>(s.total.busy_ns));
+    sink.counter("pes_killed", pes_killed());
+    sink.counter("stall_parked", stall.parked);
+    sink.counter("stall_resumed", stall.resumed);
+    sink.gauge("queue_depth", static_cast<double>(s.queued));
+    sink.gauge("parked_depth", static_cast<double>(stall.depth()));
+    sink.counter("shard.handoffs", s.handoffs);
+    sink.counter("shard.handoff_batches", s.handoff_batches);
+    sink.counter("shard.handoff_fallbacks", s.handoff_fallbacks);
+    sink.gauge("shard.shards", static_cast<double>(s.shards));
+  });
+  reg.add_source("mem", [](obs::MetricSink& sink) {
+    sink.counter("allocs", alloc::allocations());
+    sink.counter("frees", alloc::deallocations());
+    sink.counter("alloc_bytes", alloc::allocated_bytes());
+    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
+    sink.gauge("arena_buffers",
+               static_cast<double>(ScratchArena::local().size()));
+  });
 }
 
 }  // namespace mdo::core

@@ -2,28 +2,28 @@
 // Machine: the execution substrate beneath the Runtime. It owns the PEs'
 // message queues and the notion of time, routes envelopes between PEs
 // (through a net::Fabric when they cross nodes), and calls back into
-// Runtime::deliver() to execute each message. Two implementations:
-// SimMachine (virtual time, deterministic DES) and ThreadMachine (real
-// threads, real time).
+// Runtime::deliver() to execute each message. Three implementations:
+// SimMachine (virtual time, deterministic DES), ThreadMachine (real
+// threads, real time) and ProcessMachine (forked processes over
+// Unix-domain sockets). The pieces they share live here once: the device
+// chain installer (ChainHost), quarantine backpressure (ParkingLot), the
+// idle hook, and the scheduler/memory metric sources.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/chain_host.hpp"
 #include "core/envelope.hpp"
+#include "core/parking_lot.hpp"
 #include "core/types.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
-
-namespace mdo::net {
-class AdaptiveController;
-class CoalesceDevice;
-struct ReliabilityStack;
-}  // namespace mdo::net
 
 namespace mdo::core {
 
@@ -69,10 +69,10 @@ class Machine {
   virtual ~Machine() = default;
 
   /// Called once by the Runtime constructor to register the upcall target.
-  virtual void bind(Runtime* runtime) = 0;
+  void bind(Runtime* runtime) { rt_ = runtime; }
 
-  virtual int num_pes() const = 0;
-  virtual const net::Topology& topology() const = 0;
+  int num_pes() const { return static_cast<int>(topo_.num_nodes()); }
+  const net::Topology& topology() const { return topo_; }
 
   /// PE whose entry method is currently executing; PE 0 outside execution
   /// (host/setup code acts as the mainchare on PE 0).
@@ -94,8 +94,8 @@ class Machine {
 
   /// Crash model (fail-stop): machines that support kill_pe report which
   /// PEs still schedule work. PE 0 hosts the mainchare and is immortal.
-  virtual bool pe_alive(Pe) const { return true; }
-  virtual std::vector<bool> alive_pes() const {
+  virtual bool pe_alive(Pe) const = 0;
+  std::vector<bool> alive_pes() const {
     std::vector<bool> alive(static_cast<std::size_t>(num_pes()));
     for (Pe pe = 0; pe < num_pes(); ++pe) {
       alive[static_cast<std::size_t>(pe)] = pe_alive(pe);
@@ -111,13 +111,13 @@ class Machine {
   virtual void advance_time(sim::TimeNs) {}
 
   /// Run `fn` after `dt` of machine time, outside any PE context (used
-  /// by the quiescence detector to pace its waves). Optional; the
-  /// default reports lack of support.
-  virtual void call_after(sim::TimeNs dt, std::function<void()> fn);
+  /// by the quiescence detector to pace its waves and by scenario
+  /// link-drift schedules).
+  virtual void call_after(sim::TimeNs dt, std::function<void()> fn) = 0;
 
-  /// Entry-interval tracing. Both machines support it: SimMachine appends
-  /// to a plain vector (single-threaded DES), ThreadMachine records into
-  /// lock-free per-PE ring buffers.
+  /// Entry-interval tracing. Every backend supports it: SimMachine
+  /// appends to a plain vector (single-threaded DES); Thread and Process
+  /// record into lock-free per-PE rings (core/trace_rings.hpp).
   virtual void set_tracing(bool) {}
   virtual std::vector<TraceEvent> trace() const { return {}; }
 
@@ -127,36 +127,14 @@ class Machine {
   /// off; never touches the wire.
   virtual void trace_phase(std::int32_t) {}
 
-  /// Scheduler-idle notification: `fn(pe)` fires whenever a PE finishes
-  /// an entry and finds its queue empty — the signal a coalescing device
-  /// uses to flush pending bundles rather than sit on them while the
-  /// destination starves. Default: unsupported, silently ignored.
-  virtual void set_on_pe_idle(std::function<void(Pe)>) {}
-
-  /// Backpressure bound: when the reliability stack quarantines a
-  /// suspect peer and its buffer fills, outbound envelopes to that peer
-  /// park inside the machine until the congestion clears. At most
-  /// `limit` envelopes park per destination; beyond it the least-urgent
-  /// parked envelope is shed (counted in msgs_dropped so quiescence
-  /// accounting stays balanced). Default: unbounded parking; machines
-  /// without a reliability stack ignore the knob.
-  virtual void set_park_limit(std::size_t) {}
-
   /// Crash injection: stop `pe` scheduling (fail-stop). SimMachine kills
   /// in virtual time, ThreadMachine aborts the worker, ProcessMachine
-  /// SIGKILLs the child process. Default reports lack of support.
-  virtual void kill_pe(Pe pe);
-  virtual std::uint64_t pes_killed() const { return 0; }
-
-  /// Installed chain controllers/devices, when the backend's scenario
-  /// wiring installed them; null/empty otherwise. Exposed on the base so
-  /// scenario plumbing and tests can stay backend-agnostic.
-  virtual net::AdaptiveController* adaptive() const { return nullptr; }
-  virtual net::CoalesceDevice* coalesce() const { return nullptr; }
-  virtual const net::ReliabilityStack& reliability() const;
-
-  /// Envelopes currently parked by quarantine backpressure.
-  virtual std::size_t parked_envelopes() const { return 0; }
+  /// SIGKILLs the child process. PE 0 hosts the mainchare and cannot be
+  /// killed.
+  virtual void kill_pe(Pe pe) = 0;
+  std::uint64_t pes_killed() const {
+    return kills_.load(std::memory_order_acquire);
+  }
 
   /// Whether every PE shares one address space (Sim/Thread). Pointer
   /// passing, in-place migration, and restore_array assume it; the
@@ -191,8 +169,59 @@ class Machine {
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
 
+  /// Installs the device chain (delay, reliability stack, coalescing,
+  /// adaptive controller); call before traffic flows.
+  ChainHost& chain_host() { return chain_host_; }
+
+  /// Installed chain controllers/devices; null/empty when not installed.
+  net::AdaptiveController* adaptive() const { return chain_host_.adaptive(); }
+  net::CoalesceDevice* coalesce() const { return chain_host_.coalesce(); }
+  const net::ReliabilityStack& reliability() const {
+    return chain_host_.reliability();
+  }
+
+  /// Envelopes currently parked by quarantine backpressure.
+  std::size_t parked_envelopes() const {
+    return static_cast<std::size_t>(parking_.counters().depth());
+  }
+
+  /// Scheduler-idle notification: `fn(pe)` fires whenever a PE finishes
+  /// an entry and finds its queue empty — the signal a coalescing device
+  /// uses to flush pending bundles rather than sit on them while the
+  /// destination starves. Call before traffic flows.
+  void set_on_pe_idle(std::function<void(Pe)> fn) {
+    on_pe_idle_ = std::move(fn);
+  }
+
  protected:
+  explicit Machine(net::Topology topo) : topo_(std::move(topo)) {}
+
+  /// One sample of a backend's scheduler counters, summed over the PEs
+  /// the registry covers (one forked process covers one PE).
+  struct SchedSample {
+    PeStats total;
+    std::size_t queued = 0;
+    std::uint64_t handoffs = 0;         ///< envelopes landing on a PE queue
+    std::uint64_t handoff_batches = 0;  ///< batched pops / wake events
+    std::uint64_t handoff_fallbacks = 0;  ///< bounded-ring overflows
+    std::size_t shards = 0;
+  };
+
+  /// Register the rt.sched (with the parking lot's stall counters),
+  /// rt.sched.shard and mem sources into `reg`, reading `sample` at
+  /// every snapshot.
+  void register_sched_metrics(obs::MetricRegistry& reg,
+                              std::function<SchedSample()> sample) const;
+
+  net::Topology topo_;
+  Runtime* rt_ = nullptr;
+  std::atomic<std::uint64_t> kills_{0};  ///< PEs killed so far
   obs::MetricRegistry metrics_;
+  /// Quarantine backpressure; each backend init()s it with its dispatch.
+  ParkingLot parking_;
+  /// Each backend bind()s it to its chain.
+  ChainHost chain_host_{parking_};
+  std::function<void(Pe)> on_pe_idle_;
 };
 
 }  // namespace mdo::core

@@ -119,15 +119,14 @@ void ProcessMachine::StagingHost::inject_receive(const net::FilterDevice*,
 ProcessMachine::ProcessMachine(net::Topology topo,
                                net::GridLatencyModel::Config link,
                                MachineOptions options)
-    : topo_(std::move(topo)),
+    : Machine(std::move(topo)),
       options_(options),
       model_(&topo_, link),
       epoch_(std::chrono::steady_clock::now()),
       dead_(topo_.num_nodes()),
       sent_to_(topo_.num_nodes()),
       acct_from_(topo_.num_nodes()),
-      undeliv_to_(topo_.num_nodes()),
-      congested_(topo_.num_nodes()) {
+      undeliv_to_(topo_.num_nodes()) {
   MDO_CHECK(topo_.num_nodes() >= 1);
   // Devices installed before the fork bind to the staging host; the
   // per-process SocketFabric rebinds them when it takes the chain.
@@ -142,70 +141,35 @@ ProcessMachine::ProcessMachine(net::Topology topo,
   }
   cached_metrics_.resize(topo_.num_nodes());
 
+  // Each process's own reliable device drives its own congestion flags
+  // and drains its own parking lot through its own fabric.
+  chain_host_.bind(chain_, topo_, local_metrics_, nullptr,
+                   [this] { return !forked_; });
+  parking_.init(topo_.num_nodes(),
+                [this](Envelope&& env) { dispatch(std::move(env)); });
   // Per-process sources: every process (parent included) publishes its
   // own scheduler/memory/trace state into local_metrics_; the fabric and
-  // socket sources join at the fork (setup_process).
-  local_metrics_.add_source("rt.sched", [this](obs::MetricSink& sink) {
-    PeStats s;
+  // socket sources join at the fork (setup_process). Each process is one
+  // scheduler shard by construction (shards sum to the mesh size in the
+  // aggregated parent snapshot); a "handoff" is an envelope landing on
+  // this process's queue, a "batch" one dequeue, and there is no
+  // bounded-ring fallback path.
+  register_sched_metrics(local_metrics_, [this] {
+    SchedSample s;
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
-      s = stats_;
+      s.total = stats_;
     }
-    std::uint64_t queued = 0;
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
-      queued = queue_.size();
+      s.queued = queue_.size();
     }
-    sink.counter("msgs_executed", s.msgs_executed);
-    sink.counter("msgs_sent", s.msgs_sent);
-    sink.counter("msgs_dropped", s.msgs_dropped);
-    sink.counter("busy_ns", static_cast<std::uint64_t>(s.busy_ns));
-    sink.counter("pes_killed", kills_.load(std::memory_order_acquire));
-    std::uint64_t parked_depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(park_mutex_);
-      sink.counter("stall_parked", stall_parked_);
-      sink.counter("stall_resumed", stall_resumed_);
-      sink.counter("stall_shed", stall_shed_);
-      for (const auto& [dst, q] : parked_) parked_depth += q.size();
-    }
-    sink.gauge("queue_depth", static_cast<double>(queued));
-    sink.gauge("parked_depth", static_cast<double>(parked_depth));
+    s.handoffs = handoffs_.load(std::memory_order_relaxed);
+    s.handoff_batches = handoff_pops_.load(std::memory_order_relaxed);
+    s.shards = 1;
+    return s;
   });
-  local_metrics_.add_source("rt.sched.shard", [this](obs::MetricSink& sink) {
-    // Same schema as the single-process backends. Each process is one
-    // scheduler shard by construction (shards sum to the mesh size in
-    // the aggregated parent snapshot); a "handoff" is an envelope landing
-    // on this process's queue, a "batch" one dequeue, and there is no
-    // bounded-ring fallback path.
-    sink.counter("handoffs", handoffs_.load(std::memory_order_relaxed));
-    sink.counter("handoff_batches",
-                 handoff_pops_.load(std::memory_order_relaxed));
-    sink.counter("handoff_fallbacks", 0);
-    sink.gauge("shards", 1.0);
-  });
-  local_metrics_.add_source("mem", [](obs::MetricSink& sink) {
-    sink.counter("allocs", alloc::allocations());
-    sink.counter("frees", alloc::deallocations());
-    sink.counter("alloc_bytes", alloc::allocated_bytes());
-    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
-    sink.gauge("arena_buffers",
-               static_cast<double>(ScratchArena::local().size()));
-  });
-  local_metrics_.add_source("trace", [this](obs::MetricSink& sink) {
-    std::uint64_t recorded = 0, ring_dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(trace_mutex_);
-      recorded = collected_trace_.size();
-    }
-    for (const auto& ring : trace_rings_) {
-      recorded += ring->size();
-      ring_dropped += ring->dropped();
-    }
-    sink.counter("events", recorded);
-    sink.counter("dropped", ring_dropped);
-    sink.gauge("enabled", tracing_.load(std::memory_order_acquire) ? 1.0 : 0.0);
-  });
+  traces_.register_metrics(local_metrics_);
 
   // The Machine-level registry carries one source: the cross-process
   // aggregator. It snapshots this process's local registry and, in the
@@ -252,66 +216,6 @@ ProcessMachine::~ProcessMachine() {
 }
 
 // -- pre-fork configuration --------------------------------------------------
-
-net::DelayDevice* ProcessMachine::add_delay_device(sim::TimeNs one_way) {
-  MDO_CHECK_MSG(!forked_,
-                "devices must be installed before the first run() forks");
-  return chain_.add(std::make_unique<net::DelayDevice>(&topo_, one_way));
-}
-
-const net::ReliabilityStack& ProcessMachine::add_reliability_stack(
-    const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-    sim::TimeNs cross_cluster_one_way, const net::HeartbeatConfig& heartbeat,
-    const net::CoalesceConfig& coalesce,
-    const net::CompressionConfig& compression,
-    const net::StripingConfig& striping) {
-  MDO_CHECK_MSG(!forked_,
-                "the reliability stack must be installed before the fork");
-  MDO_CHECK_MSG(!rel_stack_.installed(), "reliability stack already installed");
-  rel_stack_ = net::install_reliability_stack(
-      chain_, &topo_, reliable, faults, cross_cluster_one_way, heartbeat,
-      coalesce, compression, striping);
-  net::register_metrics(local_metrics_, rel_stack_);
-  if (rel_stack_.reliable != nullptr) {
-    // Installed pre-fork and inherited: each process's own reliable
-    // device drives its own congested_ flags and drains its own park
-    // queue through its own fabric.
-    rel_stack_.reliable->set_on_congestion_change(
-        [this](net::NodeId peer, bool congested) {
-          congested_[static_cast<std::size_t>(peer)].store(congested);
-          if (!congested && fabric_ != nullptr) {
-            fabric_->host_schedule(
-                0, [this, peer] { flush_parked(static_cast<Pe>(peer)); });
-          }
-        });
-  }
-  return rel_stack_;
-}
-
-net::AdaptiveController* ProcessMachine::add_adaptive_controller(
-    const net::AdaptiveConfig& config) {
-  MDO_CHECK_MSG(!forked_,
-                "the adaptive controller must be installed before the fork");
-  MDO_CHECK_MSG(rel_stack_.installed(),
-                "adaptive controller needs a reliability stack (RTT source)");
-  MDO_CHECK_MSG(adaptive_ == nullptr, "adaptive controller already installed");
-  adaptive_ = chain_.add(std::make_unique<net::AdaptiveController>(&topo_, config));
-  // attach() needs the fabric, which exists per process only after the
-  // fork; setup_process() attaches each process's inherited controller.
-  net::register_metrics(local_metrics_, *adaptive_);
-  return adaptive_;
-}
-
-net::CoalesceDevice* ProcessMachine::add_coalesce_device(
-    const net::CoalesceConfig& config) {
-  MDO_CHECK_MSG(!forked_,
-                "the coalescing device must be installed before the fork");
-  MDO_CHECK_MSG(coalesce_ == nullptr && rel_stack_.coalesce == nullptr,
-                "coalescing device already installed");
-  coalesce_ = chain_.add(std::make_unique<net::CoalesceDevice>(&topo_, config));
-  net::register_metrics(local_metrics_, *coalesce_);
-  return coalesce_;
-}
 
 void ProcessMachine::schedule_at(sim::TimeNs dt, std::function<void()> fn) {
   if (!forked_) {
@@ -441,7 +345,7 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
         ScratchArena::local().give(std::move(packet.payload));
         enqueue(from, std::move(env));
       });
-  if (adaptive_ != nullptr) adaptive_->attach(rel_stack_, *fabric_);
+  if (adaptive() != nullptr) adaptive()->attach(reliability(), *fabric_);
   net::register_fabric_metrics(local_metrics_, *fabric_);
   local_metrics_.add_source("fabric.socket", [this](obs::MetricSink& sink) {
     const auto s = fabric_->socket_stats();
@@ -452,9 +356,10 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
     sink.counter("peer_disconnects", s.peer_disconnects);
   });
   if (role_ == Role::kChild) {
-    // The parent routes the buffered setup sends for the whole mesh;
-    // the inherited copies must not be double-delivered.
+    // The parent routes (and has counted) the buffered setup sends for
+    // the whole mesh; the inherited copies and counts must not double.
     setup_queue_.clear();
+    stats_ = PeStats{};
     control_thread_ = std::thread([this] { control_loop(child_ctl_fd_); });
   }
   // Replay timers staged before the fork (detector watch, adaptive
@@ -529,8 +434,8 @@ void ProcessMachine::dispatch(Envelope&& env) {
     enqueue(self_pe_, std::move(env));
     return;
   }
-  if (congested_[static_cast<std::size_t>(dst)].load()) {
-    park(std::move(env));
+  if (parking_.congested(dst)) {
+    parking_.park(std::move(env));
     return;
   }
   net::Packet packet;
@@ -591,56 +496,6 @@ void ProcessMachine::unpack_frame(std::span<const std::byte> data,
   MDO_CHECK_MSG(p.bytes_remaining() == 0, "trailing bytes after frame unpack");
 }
 
-void ProcessMachine::park(Envelope&& env) {
-  const Pe dst = env.dst_pe;
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto& q = parked_[dst];
-    q.push_back(std::move(env));
-    ++stall_parked_;
-    if (q.size() > park_limit_) {
-      // Shed the least-urgent parked envelope (largest priority value;
-      // latest arrival on ties, so older equally-urgent work survives).
-      auto victim = q.begin();
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->priority >= victim->priority) victim = it;
-      }
-      q.erase(victim);
-      ++stall_shed_;
-      shed = true;
-    }
-  }
-  if (shed) {
-    // Already counted toward dst at route(); balance like a squash.
-    undeliv_to_[static_cast<std::size_t>(dst)].fetch_add(
-        1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.msgs_dropped;
-  }
-  // Re-check after publishing: the clearing thread stores
-  // congested=false before scheduling its drain, so a clear flag here
-  // means the drain either saw our envelope or already ran.
-  if (!congested_[static_cast<std::size_t>(dst)].load()) flush_parked(dst);
-}
-
-void ProcessMachine::flush_parked(Pe dst) {
-  std::vector<Envelope> held;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto it = parked_.find(dst);
-    if (it == parked_.end()) return;
-    held = std::move(it->second);
-    parked_.erase(it);
-    stall_resumed_ += held.size();
-  }
-  std::stable_sort(held.begin(), held.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.priority < b.priority;
-                   });
-  for (auto& env : held) dispatch(std::move(env));
-}
-
 void ProcessMachine::enqueue(Pe from, Envelope&& env) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -668,13 +523,14 @@ bool ProcessMachine::execute_one() {
     std::this_thread::sleep_for(std::chrono::nanoseconds(charged));
   }
   const auto t1 = std::chrono::steady_clock::now();
-  if (tracing_.load(std::memory_order_acquire) && !trace_rings_.empty()) {
+  if (traces_.enabled()) {
     const auto since = [this](std::chrono::steady_clock::time_point t) {
       return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
           .count();
     };
-    trace_rings_[static_cast<std::size_t>(self_pe_)]->push(
-        TraceEvent{self_pe_, since(t0), since(t1), msg_src, entry, kind});
+    traces_.record(static_cast<std::size_t>(self_pe_),
+                   TraceEvent{self_pe_, since(t0), since(t1), msg_src, entry,
+                              kind});
   }
   bool idle_now = false;
   {
@@ -729,25 +585,19 @@ void ProcessMachine::handle_control(std::uint32_t op, Bytes&& payload, int fd) {
     case kCtlMetrics:
       reply = pack_object(local_metrics_.snapshot().values);
       break;
-    case kCtlTrace: {
-      std::vector<TraceEvent> events;
-      if (!trace_rings_.empty()) {
-        events = trace_rings_[static_cast<std::size_t>(self_pe_)]->drain();
-      }
-      reply = pack_object(events);
+    case kCtlTrace:
+      reply = pack_object(traces_.drain(static_cast<std::size_t>(self_pe_)));
       break;
-    }
     case kCtlWatch: {
       std::int64_t horizon = 0;
       {
         Pup p = Pup::unpacker(payload);
         p | horizon;
       }
-      if (rel_stack_.heartbeat != nullptr) {
+      if (net::HeartbeatDevice* hb = reliability().heartbeat) {
         // Hop onto the network thread so the arming serializes with all
         // other device work under the fabric lock.
-        fabric_->host_schedule(
-            0, [this, horizon] { rel_stack_.heartbeat->watch(horizon); });
+        fabric_->host_schedule(0, [hb, horizon] { hb->watch(horizon); });
       }
       break;
     }
@@ -800,7 +650,7 @@ void ProcessMachine::handle_control(std::uint32_t op, Bytes&& payload, int fd) {
       dead_[static_cast<std::size_t>(pe)].store(true,
                                                 std::memory_order_release);
       // Anything parked toward the dead peer resolves to a squash now.
-      flush_parked(static_cast<Pe>(pe));
+      parking_.flush(static_cast<Pe>(pe));
       break;
     }
     case kCtlExit:
@@ -895,7 +745,7 @@ void ProcessMachine::handle_child_death(Pe pe) {
     ::waitpid(pids_[i], nullptr, 0);
     pids_[i] = -1;
   }
-  flush_parked(pe);
+  parking_.flush(pe);
   Bytes payload;
   {
     Pup p = Pup::packer(payload);
@@ -1062,7 +912,7 @@ void ProcessMachine::kill_pe(Pe pe) {
     ::waitpid(pids_[i], nullptr, 0);
     pids_[i] = -1;
   }
-  flush_parked(pe);
+  parking_.flush(pe);
   // Broadcast the death for routing (peers squash sends immediately);
   // the FT stack learns of it organically, via heartbeat silence.
   Bytes payload;
@@ -1132,29 +982,15 @@ net::Fabric::Stats ProcessMachine::fabric_stats() const {
 }
 
 void ProcessMachine::set_tracing(bool on) {
-  if (on && trace_rings_.empty()) {
-    MDO_CHECK_MSG(!forked_,
-                  "enable tracing before the first run() forks the mesh");
-    constexpr std::size_t kRingCapacity = 1u << 15;
-    const auto n = static_cast<std::size_t>(num_pes());
-    trace_rings_.reserve(n + 1);
-    for (std::size_t i = 0; i < n + 1; ++i) {
-      trace_rings_.push_back(
-          std::make_unique<obs::SpscRing<TraceEvent>>(kRingCapacity));
-    }
-  }
-  tracing_.store(on, std::memory_order_release);
+  traces_.set_enabled(on, static_cast<std::size_t>(num_pes()), forked_);
 }
 
 std::vector<TraceEvent> ProcessMachine::trace() const {
-  auto* self = const_cast<ProcessMachine*>(this);
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  for (const auto& ring : trace_rings_) {
-    for (auto& ev : ring->drain()) collected_trace_.push_back(ev);
-  }
+  // Events recorded by a killed child after our last drain die with it —
+  // real crash semantics.
+  std::vector<TraceEvent> remote;
   if (role_ == Role::kParent && forked_) {
-    // Events recorded by a killed child after our last drain die with
-    // it — real crash semantics.
+    auto* self = const_cast<ProcessMachine*>(this);
     for (Pe pe = 1; pe < num_pes(); ++pe) {
       if (dead_[static_cast<std::size_t>(pe)].load(std::memory_order_acquire)) {
         continue;
@@ -1163,32 +999,19 @@ std::vector<TraceEvent> ProcessMachine::trace() const {
       if (!reply) continue;
       std::vector<TraceEvent> events;
       unpack_object(*reply, events);
-      collected_trace_.insert(collected_trace_.end(), events.begin(),
-                              events.end());
+      remote.insert(remote.end(), events.begin(), events.end());
     }
   }
-  std::vector<TraceEvent> out = collected_trace_;
-  std::sort(out.begin(), out.end(), [](const TraceEvent& a,
-                                       const TraceEvent& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.pe < b.pe;
-  });
-  return out;
+  return traces_.collect(std::move(remote));
 }
 
 void ProcessMachine::trace_phase(std::int32_t phase) {
-  if (!tracing_.load(std::memory_order_acquire) || trace_rings_.empty()) {
-    return;
-  }
   // The parent's main thread owns the extra host ring; each child's main
   // thread owns its PE ring — one producer per ring either way.
   const std::size_t ring = role_ == Role::kChild
                                ? static_cast<std::size_t>(self_pe_)
                                : static_cast<std::size_t>(num_pes());
-  const sim::TimeNs t = now();
-  trace_rings_[ring]->push(TraceEvent{self_pe_, t, t, self_pe_,
-                                      static_cast<EntryId>(phase),
-                                      MsgKind::kPhaseMarker});
+  traces_.mark_phase(ring, self_pe_, now(), phase);
 }
 
 // -- multi-process coordination hooks ---------------------------------------

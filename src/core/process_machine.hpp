@@ -20,21 +20,20 @@
 // Quiescence is a distributed double wave over monotone per-pair
 // counters: sent_to[i][j] at send, acct_from[j][i] after the handler
 // (and its sends) finish, undeliv_to[i][j] for squashes toward dead
-// peers and backpressure sheds. The mesh is quiescent when the parent
-// queue is empty, every child is idle-parked, every alive pair
-// balances, and two consecutive waves are identical (monotone counters
-// make identical balanced waves sound).
+// peers. The mesh is quiescent when the parent queue is empty, every
+// child is idle-parked, every alive pair balances, and two consecutive
+// waves are identical (monotone counters make identical balanced waves
+// sound).
 //
 // Limitations vs the shared-address-space backends (documented in
 // DESIGN.md): in-place Runtime::migrate/restore_array are rejected
-// (migrate_async works), stop()/set_park_limit/manual partition toggles
-// act on the posting process only, adaptive()->start() after the fork
-// arms only the parent's controller (pre-fork arming reaches everyone
-// via the staged timer replay), and run() must be driven by the parent.
+// (migrate_async works), stop() and manual partition toggles act on the
+// posting process only, adaptive()->start() after the fork arms only the
+// parent's controller (pre-fork arming reaches everyone via the staged
+// timer replay), and run() must be driven by the parent.
 
 #include <atomic>
 #include <condition_variable>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,12 +46,9 @@
 #include <sys/types.h>
 
 #include "core/machine.hpp"
-#include "net/adaptive.hpp"
-#include "net/devices.hpp"
+#include "core/trace_rings.hpp"
 #include "net/latency_model.hpp"
-#include "net/reliable.hpp"
 #include "net/socket_fabric.hpp"
-#include "obs/ring_buffer.hpp"
 
 namespace mdo::core {
 
@@ -65,28 +61,9 @@ class ProcessMachine final : public Machine {
   ~ProcessMachine() override;
 
   // -- pre-fork configuration (call before the first run()) ----------------
-
-  /// Install the artificial-latency delay device.
-  net::DelayDevice* add_delay_device(sim::TimeNs cross_cluster_one_way);
-
-  /// Install the reliability stack (same composition as the other
-  /// backends); devices are built pre-fork and inherited by every child.
-  const net::ReliabilityStack& add_reliability_stack(
-      const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-      sim::TimeNs cross_cluster_one_way = 0,
-      const net::HeartbeatConfig& heartbeat = {},
-      const net::CoalesceConfig& coalesce = {},
-      const net::CompressionConfig& compression = {},
-      const net::StripingConfig& striping = {});
-
-  /// Install a standalone coalescing device (clean-fabric scenarios).
-  net::CoalesceDevice* add_coalesce_device(const net::CoalesceConfig& config);
-
-  /// Install the adaptive WAN controller. Attachment to the fabric is
-  /// deferred to the fork: every process attaches its own inherited
-  /// controller copy to its own socket fabric.
-  net::AdaptiveController* add_adaptive_controller(
-      const net::AdaptiveConfig& config);
+  // Devices are installed through chain_host() pre-fork and inherited by
+  // every child; each process attaches its own adaptive controller copy
+  // to its own socket fabric at the fork.
 
   /// Run `fn` after `dt` of machine time in *every* process: pre-fork
   /// calls are staged and replayed into each process's fabric at the
@@ -94,22 +71,11 @@ class ProcessMachine final : public Machine {
   /// posting process only.
   void schedule_at(sim::TimeNs dt, std::function<void()> fn);
 
-  net::AdaptiveController* adaptive() const override { return adaptive_; }
-  const net::ReliabilityStack& reliability() const override {
-    return rel_stack_;
-  }
-  net::CoalesceDevice* coalesce() const override {
-    return coalesce_ != nullptr ? coalesce_ : rel_stack_.coalesce;
-  }
-
   /// Crash-inject: SIGKILL the child hosting `pe` and reap it. The other
   /// processes learn of the death twice, deliberately: immediately via a
   /// control broadcast (routing squash, like the other backends), and
   /// organically via heartbeat silence (what the FT stack reacts to).
   void kill_pe(Pe pe) override;
-  std::uint64_t pes_killed() const override {
-    return kills_.load(std::memory_order_acquire);
-  }
 
   /// Transport counters of this process's socket fabric (tests).
   net::SocketFabric::SocketStats socket_stats() const;
@@ -118,9 +84,6 @@ class ProcessMachine final : public Machine {
   bool forked() const { return forked_; }
 
   // -- Machine interface ---------------------------------------------------
-  void bind(Runtime* runtime) override { rt_ = runtime; }
-  int num_pes() const override { return static_cast<int>(topo_.num_nodes()); }
-  const net::Topology& topology() const override { return topo_; }
   Pe current_pe() const override { return self_pe_; }
   sim::TimeNs now() const override;
   void send(Envelope&& env) override;
@@ -135,19 +98,6 @@ class ProcessMachine final : public Machine {
   void set_tracing(bool on) override;
   std::vector<TraceEvent> trace() const override;
   void trace_phase(std::int32_t phase) override;
-  void set_on_pe_idle(std::function<void(Pe)> fn) override {
-    on_pe_idle_ = std::move(fn);
-  }
-  void set_park_limit(std::size_t limit) override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    park_limit_ = limit;
-  }
-  std::size_t parked_envelopes() const override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    std::size_t total = 0;
-    for (const auto& [dst, q] : parked_) total += q.size();
-    return total;
-  }
   bool shared_address_space() const override { return false; }
   void sync_remote_elements() override;
   void on_element_replaced(ArrayId array, const Index& index, Pe to,
@@ -244,8 +194,6 @@ class ProcessMachine final : public Machine {
   void unpack_frame(std::span<const std::byte> data, Envelope& env);
   void enqueue(Pe from, Envelope&& env);
   bool execute_one();
-  void park(Envelope&& env);
-  void flush_parked(Pe dst);
 
   CtlStatus local_status();
   /// One wave: fetch every alive child's status (caching it), flatten
@@ -260,17 +208,11 @@ class ProcessMachine final : public Machine {
                                const Bytes& payload);
   void check_fingerprint(Pe child, std::uint64_t count, std::uint64_t hash);
 
-  net::Topology topo_;
   MachineOptions options_;
   net::GridLatencyModel model_;
   StagingHost staging_;
   net::Chain chain_;  ///< built pre-fork; moved into the fabric at fork
   std::unique_ptr<net::SocketFabric> fabric_;
-  net::ReliabilityStack rel_stack_;
-  net::CoalesceDevice* coalesce_ = nullptr;
-  net::AdaptiveController* adaptive_ = nullptr;
-  std::function<void(Pe)> on_pe_idle_;
-  Runtime* rt_ = nullptr;
 
   /// Device/fabric/scheduler sources register here in every process; the
   /// parent's Machine-level registry carries one aggregator source that
@@ -294,7 +236,6 @@ class ProcessMachine final : public Machine {
   mutable std::recursive_mutex ctl_mutex_;
 
   std::vector<std::atomic<bool>> dead_;
-  std::atomic<std::uint64_t> kills_{0};
   std::atomic<bool> stopping_{false};
 
   // Buffered sends between construction and the fork: routed (and
@@ -318,22 +259,10 @@ class ProcessMachine final : public Machine {
   // Quiescence counters (monotone; read by the control thread).
   std::vector<std::atomic<std::uint64_t>> sent_to_, acct_from_, undeliv_to_;
 
-  // Backpressure parking, as in ThreadMachine.
-  std::vector<std::atomic<bool>> congested_;
-  mutable std::mutex park_mutex_;
-  std::map<Pe, std::vector<Envelope>> parked_;
-  std::size_t park_limit_ = std::numeric_limits<std::size_t>::max();
-  std::uint64_t stall_parked_ = 0;
-  std::uint64_t stall_resumed_ = 0;
-  std::uint64_t stall_shed_ = 0;
-
   // Tracing: ring per PE (producer: that PE's process main thread; only
   // ring self_pe_ is live in each process) + host-marker ring at
   // index num_pes (producer: the parent main thread).
-  std::atomic<bool> tracing_{false};
-  std::vector<std::unique_ptr<obs::SpscRing<TraceEvent>>> trace_rings_;
-  mutable std::mutex trace_mutex_;
-  mutable std::vector<TraceEvent> collected_trace_;
+  TraceRings traces_;
 
   // Parent-side caches of child state, refreshed on every successful
   // control fetch and served as-is for dead children (a SIGKILLed PE's

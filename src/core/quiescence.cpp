@@ -4,11 +4,6 @@
 
 namespace mdo::core {
 
-// Default Machine::call_after lives here to keep machine.hpp header-only.
-void Machine::call_after(sim::TimeNs, std::function<void()>) {
-  MDO_CHECK_MSG(false, "this machine does not support timed callbacks");
-}
-
 QuiescenceDetector::QuiescenceDetector(Runtime& rt) : rt_(&rt) {}
 
 void QuiescenceDetector::notify_on_quiescence(std::function<void()> fn) {

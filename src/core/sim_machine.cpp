@@ -1,7 +1,5 @@
 #include "core/sim_machine.hpp"
 
-#include <algorithm>
-
 #include "core/runtime.hpp"
 #include "net/metrics.hpp"
 #include "util/assert.hpp"
@@ -10,7 +8,7 @@ namespace mdo::core {
 
 SimMachine::SimMachine(net::Topology topo, net::GridLatencyModel::Config link,
                        Overheads overheads)
-    : topo_(std::move(topo)),
+    : Machine(std::move(topo)),
       overheads_(overheads),
       model_(&topo_, link),
       pes_(topo_.num_nodes()) {
@@ -31,102 +29,33 @@ SimMachine::SimMachine(net::Topology topo, net::GridLatencyModel::Config link,
           enqueue(static_cast<Pe>(node), std::move(env));
         });
   }
+  chain_host_.bind(fabric_->chain(), topo_, metrics_, fabric_.get(),
+                   [] { return true; });
+  parking_.init(topo_.num_nodes(),
+                [this](Envelope&& env) { dispatch(std::move(env)); });
   net::register_fabric_metrics(metrics_, *fabric_);
-  metrics_.add_source("rt.sched", [this](obs::MetricSink& sink) {
-    std::uint64_t executed = 0, sent = 0, dropped = 0, queued = 0;
-    sim::TimeNs busy = 0;
+  // Here a "handoff" is an envelope landing on a PE queue and a "batch"
+  // is one coalesced wake event (the DES analogue of a batched inbox
+  // pop). No bounded ring, so there is no fallback path.
+  register_sched_metrics(metrics_, [this] {
+    SchedSample s;
     for (const auto& pe : pes_) {
-      executed += pe.stats.msgs_executed;
-      sent += pe.stats.msgs_sent;
-      dropped += pe.stats.msgs_dropped;
-      busy += pe.stats.busy_ns;
-      queued += pe.queue.size();
+      s.total.msgs_executed += pe.stats.msgs_executed;
+      s.total.msgs_sent += pe.stats.msgs_sent;
+      s.total.msgs_dropped += pe.stats.msgs_dropped;
+      s.total.busy_ns += pe.stats.busy_ns;
+      s.queued += pe.queue.size();
     }
-    sink.counter("msgs_executed", executed);
-    sink.counter("msgs_sent", sent);
-    sink.counter("msgs_dropped", dropped);
-    sink.counter("busy_ns", static_cast<std::uint64_t>(busy));
-    sink.counter("pes_killed", kills_);
-    sink.counter("stall_parked", stall_parked_);
-    sink.counter("stall_resumed", stall_resumed_);
-    sink.counter("stall_shed", stall_shed_);
-    sink.gauge("queue_depth", static_cast<double>(queued));
-    sink.gauge("parked_depth", static_cast<double>(parked_envelopes()));
-  });
-  metrics_.add_source("rt.sched.shard", [this](obs::MetricSink& sink) {
-    // Same schema as the thread backend: here a "handoff" is an envelope
-    // landing on a PE queue and a "batch" is one coalesced wake event
-    // (the DES analogue of a batched inbox pop). No bounded ring, so
-    // there is no fallback path.
-    sink.counter("handoffs", handoffs_);
-    sink.counter("handoff_batches", wake_batches_);
-    sink.counter("handoff_fallbacks", 0);
-    sink.gauge("shards", static_cast<double>(pes_.size()));
-  });
-  metrics_.add_source("mem", [](obs::MetricSink& sink) {
-    sink.counter("allocs", alloc::allocations());
-    sink.counter("frees", alloc::deallocations());
-    sink.counter("alloc_bytes", alloc::allocated_bytes());
-    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
-    sink.gauge("arena_buffers",
-               static_cast<double>(ScratchArena::local().size()));
+    s.handoffs = handoffs_;
+    s.handoff_batches = wake_batches_;
+    s.shards = pes_.size();
+    return s;
   });
   metrics_.add_source("trace", [this](obs::MetricSink& sink) {
     sink.counter("events", trace_.size());
     sink.counter("dropped", 0);  // vector recorder never drops
     sink.gauge("enabled", tracing_ ? 1.0 : 0.0);
   });
-}
-
-net::DelayDevice* SimMachine::add_delay_device(sim::TimeNs one_way) {
-  return fabric_->chain().add(
-      std::make_unique<net::DelayDevice>(&topo_, one_way));
-}
-
-const net::ReliabilityStack& SimMachine::add_reliability_stack(
-    const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-    sim::TimeNs cross_cluster_one_way, const net::HeartbeatConfig& heartbeat,
-    const net::CoalesceConfig& coalesce,
-    const net::CompressionConfig& compression,
-    const net::StripingConfig& striping) {
-  MDO_CHECK_MSG(!rel_stack_.installed(),
-                "reliability stack already installed");
-  rel_stack_ = net::install_reliability_stack(
-      fabric_->chain(), &topo_, reliable, faults, cross_cluster_one_way,
-      heartbeat, coalesce, compression, striping);
-  net::register_metrics(metrics_, rel_stack_);
-  // Quarantine backpressure: when a suspect peer's buffer clears (heal
-  // or abandonment), re-dispatch its parked envelopes from a fresh
-  // engine event — the clear fires from inside a heartbeat transition.
-  rel_stack_.reliable->set_on_congestion_change(
-      [this](net::NodeId peer, bool congested) {
-        if (congested) return;
-        engine_.schedule_after(
-            0, [this, peer] { flush_parked(static_cast<Pe>(peer)); });
-      });
-  return rel_stack_;
-}
-
-net::AdaptiveController* SimMachine::add_adaptive_controller(
-    const net::AdaptiveConfig& config) {
-  MDO_CHECK_MSG(rel_stack_.installed(),
-                "adaptive controller needs a reliability stack (RTT source)");
-  MDO_CHECK_MSG(adaptive_ == nullptr, "adaptive controller already installed");
-  adaptive_ = fabric_->chain().add(
-      std::make_unique<net::AdaptiveController>(&topo_, config));
-  adaptive_->attach(rel_stack_, *fabric_);
-  net::register_metrics(metrics_, *adaptive_);
-  return adaptive_;
-}
-
-net::CoalesceDevice* SimMachine::add_coalesce_device(
-    const net::CoalesceConfig& config) {
-  MDO_CHECK_MSG(coalesce_ == nullptr && rel_stack_.coalesce == nullptr,
-                "coalescing device already installed");
-  coalesce_ = fabric_->chain().add(
-      std::make_unique<net::CoalesceDevice>(&topo_, config));
-  net::register_metrics(metrics_, *coalesce_);
-  return coalesce_;
 }
 
 void SimMachine::kill_pe(Pe pe, sim::TimeNs at) {
@@ -170,10 +99,8 @@ sim::TimeNs SimMachine::dispatch(Envelope&& env) {
     enqueue(env.dst_pe, std::move(env));
     return 0;
   }
-  if (rel_stack_.reliable != nullptr &&
-      rel_stack_.reliable->peer_congested(
-          static_cast<net::NodeId>(env.dst_pe))) {
-    park(std::move(env));
+  if (parking_.congested(env.dst_pe)) {
+    parking_.park(std::move(env));
     return 0;
   }
   net::Packet packet;
@@ -182,41 +109,6 @@ sim::TimeNs SimMachine::dispatch(Envelope&& env) {
   packet.priority = env.priority;
   packet.payload = pack_object(env);
   return fabric_->send(std::move(packet));
-}
-
-void SimMachine::park(Envelope&& env) {
-  std::vector<Envelope>& q = parked_[env.dst_pe];
-  q.push_back(std::move(env));
-  ++stall_parked_;
-  if (q.size() > park_limit_) {
-    // Shed the least-urgent parked envelope (largest priority value
-    // loses; among ties the most recent arrival). Charged to the
-    // sender's dropped count so sent == executed + dropped still holds.
-    auto worst = q.begin();
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (it->priority >= worst->priority) worst = it;
-    }
-    const Pe src = worst->src_pe >= 0 ? worst->src_pe : 0;
-    ++pes_[static_cast<std::size_t>(src)].stats.msgs_dropped;
-    ++stall_shed_;
-    q.erase(worst);
-  }
-}
-
-void SimMachine::flush_parked(Pe dst) {
-  auto it = parked_.find(dst);
-  if (it == parked_.end()) return;
-  std::vector<Envelope> pending = std::move(it->second);
-  parked_.erase(it);
-  // Most-urgent first; stable so FIFO order survives within a priority.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.priority < b.priority;
-                   });
-  for (Envelope& env : pending) {
-    ++stall_resumed_;
-    dispatch(std::move(env));  // re-parks if congestion re-tripped
-  }
 }
 
 void SimMachine::enqueue(Pe pe, Envelope&& env) {

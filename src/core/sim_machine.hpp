@@ -6,17 +6,12 @@
 // depart when it completes. This is the deterministic substrate behind
 // every benchmark table and figure.
 
-#include <limits>
-#include <map>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "core/machine.hpp"
-#include "net/adaptive.hpp"
-#include "net/devices.hpp"
 #include "net/latency_model.hpp"
-#include "net/reliable.hpp"
 #include "net/sim_fabric.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
@@ -36,53 +31,11 @@ class SimMachine final : public Machine {
   SimMachine(net::Topology topo, net::GridLatencyModel::Config link,
              Overheads overheads);
 
-  // -- construction-time access (add chain devices before traffic flows) --
+  // -- construction-time access --
   sim::Engine& engine() { return engine_; }
   net::SimFabric& fabric() { return *fabric_; }
   net::GridLatencyModel& model() { return model_; }
   const Overheads& overheads() const { return overheads_; }
-
-  /// Convenience: install the paper's artificial-latency delay device.
-  net::DelayDevice* add_delay_device(sim::TimeNs cross_cluster_one_way);
-
-  /// Install the reliability stack (optional coalesce + reliable +
-  /// optional heartbeat + checksum + fault devices, plus a delay device
-  /// when cross_cluster_one_way > 0) at the bottom of the chain. Call
-  /// before traffic flows.
-  const net::ReliabilityStack& add_reliability_stack(
-      const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-      sim::TimeNs cross_cluster_one_way = 0,
-      const net::HeartbeatConfig& heartbeat = {},
-      const net::CoalesceConfig& coalesce = {},
-      const net::CompressionConfig& compression = {},
-      const net::StripingConfig& striping = {});
-
-  /// Install a standalone coalescing device (clean-fabric scenarios with
-  /// no reliability stack). Call before traffic flows and before
-  /// add_delay_device so bundles pay the WAN delay once.
-  net::CoalesceDevice* add_coalesce_device(const net::CoalesceConfig& config);
-
-  /// Install the adaptive WAN controller over the already-installed
-  /// reliability stack: it joins the chain (for the host binding),
-  /// observes the stack's devices through a private registry, and
-  /// publishes decisions under net.adaptive.* in the machine registry.
-  /// Arm it per phase with adaptive()->start(horizon). Call after
-  /// add_reliability_stack and before traffic flows.
-  net::AdaptiveController* add_adaptive_controller(
-      const net::AdaptiveConfig& config);
-
-  /// The installed adaptive controller (null if none).
-  net::AdaptiveController* adaptive() const override { return adaptive_; }
-
-  /// The installed reliability stack (devices null if never installed).
-  const net::ReliabilityStack& reliability() const override {
-    return rel_stack_;
-  }
-
-  /// The coalescing device, standalone or in-stack (null if none).
-  net::CoalesceDevice* coalesce() const override {
-    return coalesce_ != nullptr ? coalesce_ : rel_stack_.coalesce;
-  }
 
   /// Crash-inject: at virtual time `at` (>= now), PE `pe` stops
   /// scheduling forever — its queued and future messages are dropped and
@@ -93,13 +46,7 @@ class SimMachine final : public Machine {
   /// Machine override: kill at the current virtual time.
   void kill_pe(Pe pe) override { kill_pe(pe, engine_.now()); }
 
-  /// PEs killed so far (test/bench convenience).
-  std::uint64_t pes_killed() const override { return kills_; }
-
   // -- Machine interface ---------------------------------------------------
-  void bind(Runtime* runtime) override { rt_ = runtime; }
-  int num_pes() const override { return static_cast<int>(topo_.num_nodes()); }
-  const net::Topology& topology() const override { return topo_; }
   Pe current_pe() const override { return executing_ ? exec_pe_ : 0; }
   sim::TimeNs now() const override { return engine_.now(); }
   void send(Envelope&& env) override;
@@ -118,20 +65,9 @@ class SimMachine final : public Machine {
   void set_tracing(bool on) override { tracing_ = on; }
   std::vector<TraceEvent> trace() const override { return trace_; }
   void trace_phase(std::int32_t phase) override;
-  void set_on_pe_idle(std::function<void(Pe)> fn) override {
-    on_pe_idle_ = std::move(fn);
-  }
-  void set_park_limit(std::size_t limit) override { park_limit_ = limit; }
 
   /// Total messages executed across PEs (test/bench convenience).
   std::uint64_t total_executed() const;
-
-  /// Envelopes currently parked behind quarantine backpressure.
-  std::size_t parked_envelopes() const override {
-    std::size_t total = 0;
-    for (const auto& [dst, q] : parked_) total += q.size();
-    return total;
-  }
 
  private:
   struct QueueItem {
@@ -170,32 +106,16 @@ class SimMachine final : public Machine {
   /// a congested (quarantined, buffer-full) peer park instead.
   sim::TimeNs dispatch(Envelope&& env);
   void finish_execution(Pe pe);  ///< drains pes_[pe].pending_outbox
-  void park(Envelope&& env);     ///< backpressure: hold, shed past limit
-  void flush_parked(Pe dst);     ///< congestion cleared: re-dispatch
 
-  net::Topology topo_;
   Overheads overheads_;
   sim::Engine engine_;
   net::GridLatencyModel model_;
   std::unique_ptr<net::SimFabric> fabric_;
-  net::ReliabilityStack rel_stack_;
-  net::CoalesceDevice* coalesce_ = nullptr;  ///< standalone install only
-  net::AdaptiveController* adaptive_ = nullptr;
-  std::function<void(Pe)> on_pe_idle_;
-  Runtime* rt_ = nullptr;
 
   std::vector<PeState> pes_;
   std::uint64_t next_queue_seq_ = 0;
-  std::uint64_t kills_ = 0;
   std::uint64_t handoffs_ = 0;      ///< envelopes enqueued onto PE queues
   std::uint64_t wake_batches_ = 0;  ///< coalesced zero-delay wake events
-
-  /// Envelopes stalled behind quarantine backpressure, per destination.
-  std::map<Pe, std::vector<Envelope>> parked_;
-  std::size_t park_limit_ = std::numeric_limits<std::size_t>::max();
-  std::uint64_t stall_parked_ = 0;
-  std::uint64_t stall_resumed_ = 0;
-  std::uint64_t stall_shed_ = 0;
 
   bool executing_ = false;
   Pe exec_pe_ = 0;

@@ -1,7 +1,5 @@
 #include "core/thread_machine.hpp"
 
-#include <algorithm>
-
 #include "core/runtime.hpp"
 #include "net/metrics.hpp"
 #include "util/assert.hpp"
@@ -23,10 +21,9 @@ constexpr std::size_t kPopBatch = 256;
 
 ThreadMachine::ThreadMachine(net::Topology topo,
                              net::GridLatencyModel::Config link, MachineOptions options)
-    : topo_(std::move(topo)),
+    : Machine(std::move(topo)),
       options_(options),
       model_(&topo_, link),
-      congested_(topo_.num_nodes()),
       start_(std::chrono::steady_clock::now()) {
   fabric_ = std::make_unique<net::ThreadFabric>(&topo_, &model_, net::Chain{});
   fabric_->set_node_up_probe([this](net::NodeId node) {
@@ -52,69 +49,29 @@ ThreadMachine::ThreadMachine(net::Topology topo,
           enqueue(static_cast<Pe>(node), std::move(env));
         });
   }
+  chain_host_.bind(fabric_->chain(), topo_, metrics_, fabric_.get(),
+                   [this] { return fabric_->stats().packets_sent == 0; });
+  parking_.init(topo_.num_nodes(),
+                [this](Envelope&& env) { route(std::move(env)); });
   net::register_fabric_metrics(metrics_, *fabric_);
-  metrics_.add_source("rt.sched", [this](obs::MetricSink& sink) {
-    std::uint64_t executed = 0, dropped = 0, queued = 0;
-    std::int64_t busy = 0;
+  register_sched_metrics(metrics_, [this] {
+    SchedSample s;
     for (const auto& worker : workers_) {
-      executed += worker->executed.load(std::memory_order_relaxed);
-      dropped += worker->dropped.load(std::memory_order_relaxed);
-      busy += worker->busy_ns.load(std::memory_order_relaxed);
-      queued += worker->runq_depth.load(std::memory_order_relaxed) +
-                worker->inbox->size() +
-                worker->overflow_count.load(std::memory_order_relaxed);
+      s.total.msgs_executed += worker->executed.load(std::memory_order_relaxed);
+      s.total.msgs_sent += worker->sent.load(std::memory_order_relaxed);
+      s.total.msgs_dropped += worker->dropped.load(std::memory_order_relaxed);
+      s.total.busy_ns += worker->busy_ns.load(std::memory_order_relaxed);
+      s.queued += worker->runq_depth.load(std::memory_order_relaxed) +
+                  worker->inbox->size() +
+                  worker->overflow_count.load(std::memory_order_relaxed);
+      s.handoffs += worker->inbox->pushed();
+      s.handoff_batches += worker->inbox->batches();
+      s.handoff_fallbacks += worker->inbox->full_rejects();
     }
-    sink.counter("msgs_executed", executed);
-    sink.counter("msgs_sent", 0);
-    sink.counter("msgs_dropped", dropped);
-    sink.counter("busy_ns", static_cast<std::uint64_t>(busy));
-    sink.counter("pes_killed", kills_.load(std::memory_order_acquire));
-    std::uint64_t parked_depth = 0;
-    {
-      std::lock_guard<std::mutex> park_lock(park_mutex_);
-      sink.counter("stall_parked", stall_parked_);
-      sink.counter("stall_resumed", stall_resumed_);
-      sink.counter("stall_shed", stall_shed_);
-      for (const auto& [dst, q] : parked_) parked_depth += q.size();
-    }
-    sink.gauge("queue_depth", static_cast<double>(queued));
-    sink.gauge("parked_depth", static_cast<double>(parked_depth));
+    s.shards = workers_.size();
+    return s;
   });
-  metrics_.add_source("rt.sched.shard", [this](obs::MetricSink& sink) {
-    std::uint64_t handoffs = 0, batches = 0, fallbacks = 0;
-    for (const auto& worker : workers_) {
-      handoffs += worker->inbox->pushed();
-      batches += worker->inbox->batches();
-      fallbacks += worker->inbox->full_rejects();
-    }
-    sink.counter("handoffs", handoffs);
-    sink.counter("handoff_batches", batches);
-    sink.counter("handoff_fallbacks", fallbacks);
-    sink.gauge("shards", static_cast<double>(workers_.size()));
-  });
-  metrics_.add_source("mem", [](obs::MetricSink& sink) {
-    sink.counter("allocs", alloc::allocations());
-    sink.counter("frees", alloc::deallocations());
-    sink.counter("alloc_bytes", alloc::allocated_bytes());
-    sink.gauge("hook_active", alloc::hook_active() ? 1.0 : 0.0);
-    sink.gauge("arena_buffers",
-               static_cast<double>(ScratchArena::local().size()));
-  });
-  metrics_.add_source("trace", [this](obs::MetricSink& sink) {
-    std::uint64_t recorded = 0, ring_dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(trace_mutex_);
-      recorded = collected_trace_.size();
-    }
-    for (const auto& ring : trace_rings_) {
-      recorded += ring->size();
-      ring_dropped += ring->dropped();
-    }
-    sink.counter("events", recorded);
-    sink.counter("dropped", ring_dropped);
-    sink.gauge("enabled",
-               tracing_.load(std::memory_order_acquire) ? 1.0 : 0.0);
-  });
+  traces_.register_metrics(metrics_);
   for (std::size_t pe = 0; pe < workers_.size(); ++pe) {
     workers_[pe]->thread =
         std::thread([this, pe] { worker_loop(static_cast<Pe>(pe)); });
@@ -123,112 +80,17 @@ ThreadMachine::ThreadMachine(net::Topology topo,
 
 ThreadMachine::~ThreadMachine() { stop(); }
 
-net::DelayDevice* ThreadMachine::add_delay_device(sim::TimeNs one_way) {
-  MDO_CHECK_MSG(fabric_->stats().packets_sent == 0,
-                "delay device must be installed before traffic flows");
-  return fabric_->chain().add(
-      std::make_unique<net::DelayDevice>(&topo_, one_way));
-}
-
-const net::ReliabilityStack& ThreadMachine::add_reliability_stack(
-    const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-    sim::TimeNs cross_cluster_one_way, const net::HeartbeatConfig& heartbeat,
-    const net::CoalesceConfig& coalesce,
-    const net::CompressionConfig& compression,
-    const net::StripingConfig& striping) {
-  MDO_CHECK_MSG(fabric_->stats().packets_sent == 0,
-                "reliability stack must be installed before traffic flows");
-  MDO_CHECK_MSG(!rel_stack_.installed(),
-                "reliability stack already installed");
-  rel_stack_ = net::install_reliability_stack(
-      fabric_->chain(), &topo_, reliable, faults, cross_cluster_one_way,
-      heartbeat, coalesce, compression, striping);
-  net::register_metrics(metrics_, rel_stack_);
-  if (rel_stack_.reliable != nullptr) {
-    // Mirror the device's congestion state into machine-owned atomics so
-    // route() never reads device internals from worker threads. The flag
-    // must be stored before the drain is scheduled: a worker that loads
-    // `false` after parking re-flushes itself (see park()), so envelopes
-    // can never strand behind an already-cleared quarantine.
-    rel_stack_.reliable->set_on_congestion_change(
-        [this](net::NodeId peer, bool congested) {
-          congested_[static_cast<std::size_t>(peer)].store(congested);
-          if (!congested) {
-            fabric_->host_schedule(0, [this, peer] {
-              flush_parked(static_cast<Pe>(peer));
-            });
-          }
-        });
-  }
-  return rel_stack_;
-}
-
-net::AdaptiveController* ThreadMachine::add_adaptive_controller(
-    const net::AdaptiveConfig& config) {
-  MDO_CHECK_MSG(fabric_->stats().packets_sent == 0,
-                "adaptive controller must be installed before traffic flows");
-  MDO_CHECK_MSG(rel_stack_.installed(),
-                "adaptive controller needs a reliability stack (RTT source)");
-  MDO_CHECK_MSG(adaptive_ == nullptr, "adaptive controller already installed");
-  adaptive_ = fabric_->chain().add(
-      std::make_unique<net::AdaptiveController>(&topo_, config));
-  adaptive_->attach(rel_stack_, *fabric_);
-  net::register_metrics(metrics_, *adaptive_);
-  return adaptive_;
-}
-
-net::CoalesceDevice* ThreadMachine::add_coalesce_device(
-    const net::CoalesceConfig& config) {
-  MDO_CHECK_MSG(fabric_->stats().packets_sent == 0,
-                "coalescing device must be installed before traffic flows");
-  MDO_CHECK_MSG(coalesce_ == nullptr && rel_stack_.coalesce == nullptr,
-                "coalescing device already installed");
-  coalesce_ = fabric_->chain().add(
-      std::make_unique<net::CoalesceDevice>(&topo_, config));
-  net::register_metrics(metrics_, *coalesce_);
-  return coalesce_;
-}
-
 void ThreadMachine::set_tracing(bool on) {
-  if (on && trace_rings_.empty()) {
-    MDO_CHECK_MSG(fabric_->stats().packets_sent == 0,
-                  "tracing must be enabled before traffic flows");
-    // One ring per PE plus one for the host thread's phase markers.
-    constexpr std::size_t kRingCapacity = 1u << 15;
-    trace_rings_.reserve(workers_.size() + 1);
-    for (std::size_t i = 0; i < workers_.size() + 1; ++i) {
-      trace_rings_.push_back(
-          std::make_unique<obs::SpscRing<TraceEvent>>(kRingCapacity));
-    }
-  }
-  tracing_.store(on, std::memory_order_release);
-}
-
-std::vector<TraceEvent> ThreadMachine::trace() const {
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  for (const auto& ring : trace_rings_) {
-    for (auto& ev : ring->drain()) collected_trace_.push_back(ev);
-  }
-  std::vector<TraceEvent> out = collected_trace_;
-  std::sort(out.begin(), out.end(), [](const TraceEvent& a,
-                                       const TraceEvent& b) {
-    if (a.begin != b.begin) return a.begin < b.begin;
-    return a.pe < b.pe;
-  });
-  return out;
+  traces_.set_enabled(on, workers_.size(), !chain_host_.open());
 }
 
 void ThreadMachine::trace_phase(std::int32_t phase) {
-  if (!tracing_.load(std::memory_order_acquire)) return;
   // Worker threads own their PE's ring; the host thread owns the extra
   // ring at index num_pes, so every ring keeps a single producer.
   const std::size_t ring =
       t_current_pe == kInvalidPe ? workers_.size()
                                  : static_cast<std::size_t>(t_current_pe);
-  const sim::TimeNs t = now();
-  trace_rings_[ring]->push(TraceEvent{current_pe(), t, t, current_pe(),
-                                      static_cast<EntryId>(phase),
-                                      MsgKind::kPhaseMarker});
+  traces_.mark_phase(ring, current_pe(), now(), phase);
 }
 
 void ThreadMachine::kill_pe(Pe pe) {
@@ -263,6 +125,9 @@ sim::TimeNs ThreadMachine::now() const {
 
 void ThreadMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
+  // Charged to the source PE; host-thread sends act as PE 0.
+  workers_[static_cast<std::size_t>(env.src_pe >= 0 ? env.src_pe : 0)]
+      ->sent.fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_add(1, std::memory_order_acq_rel);
   route(std::move(env));
 }
@@ -290,8 +155,8 @@ void ThreadMachine::route(Envelope&& env) {
     enqueue(env.dst_pe, std::move(env));
     return;
   }
-  if (congested_[static_cast<std::size_t>(env.dst_pe)].load()) {
-    park(std::move(env));
+  if (parking_.congested(env.dst_pe)) {
+    parking_.park(std::move(env));
     return;
   }
   net::Packet packet;
@@ -300,59 +165,6 @@ void ThreadMachine::route(Envelope&& env) {
   packet.priority = env.priority;
   packet.payload = pack_object(env);
   fabric_->send(std::move(packet));
-}
-
-void ThreadMachine::park(Envelope&& env) {
-  const Pe dst = env.dst_pe;
-  bool shed = false;
-  Envelope worst;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto& q = parked_[dst];
-    q.push_back(std::move(env));
-    ++stall_parked_;
-    if (q.size() > park_limit_) {
-      // Shed the least-urgent envelope (largest priority value; latest
-      // arrival on ties, so older equally-urgent work survives).
-      auto victim = q.begin();
-      for (auto it = q.begin(); it != q.end(); ++it) {
-        if (it->priority >= victim->priority) victim = it;
-      }
-      worst = std::move(*victim);
-      q.erase(victim);
-      ++stall_shed_;
-      shed = true;
-    }
-  }
-  if (shed) {
-    workers_[static_cast<std::size_t>(worst.src_pe)]->dropped.fetch_add(
-        1, std::memory_order_relaxed);
-    drop_pending();
-  }
-  // Re-check after publishing the parked envelope: the clearing thread
-  // stores congested=false before draining, so if the flag is clear now
-  // the drain either saw our envelope or already ran — self-flush covers
-  // the latter.
-  if (!congested_[static_cast<std::size_t>(dst)].load()) flush_parked(dst);
-}
-
-void ThreadMachine::flush_parked(Pe dst) {
-  std::vector<Envelope> held;
-  {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    auto it = parked_.find(dst);
-    if (it == parked_.end()) return;
-    held = std::move(it->second);
-    parked_.erase(it);
-    stall_resumed_ += held.size();
-  }
-  // Most-urgent first so the freshly healed link carries critical work
-  // ahead of bulk. route() re-parks if the peer trips congestion again.
-  std::stable_sort(held.begin(), held.end(),
-                   [](const Envelope& a, const Envelope& b) {
-                     return a.priority < b.priority;
-                   });
-  for (auto& env : held) route(std::move(env));
 }
 
 void ThreadMachine::enqueue(Pe pe, Envelope&& env) {
@@ -461,13 +273,14 @@ void ThreadMachine::worker_loop(Pe pe) {
     }
     auto t1 = std::chrono::steady_clock::now();
 
-    if (tracing_.load(std::memory_order_acquire)) {
+    if (traces_.enabled()) {
       const auto since_start = [this](std::chrono::steady_clock::time_point t) {
         return std::chrono::duration_cast<std::chrono::nanoseconds>(t - start_)
             .count();
       };
-      trace_rings_[static_cast<std::size_t>(pe)]->push(TraceEvent{
-          pe, since_start(t0), since_start(t1), msg_src, entry, kind});
+      traces_.record(static_cast<std::size_t>(pe),
+                     TraceEvent{pe, since_start(t0), since_start(t1), msg_src,
+                                entry, kind});
     }
 
     worker.busy_ns.fetch_add(
@@ -515,7 +328,7 @@ PeStats ThreadMachine::pe_stats(Pe pe) const {
   PeStats stats;
   stats.busy_ns = worker.busy_ns.load(std::memory_order_relaxed);
   stats.msgs_executed = worker.executed.load(std::memory_order_relaxed);
-  stats.msgs_sent = 0;
+  stats.msgs_sent = worker.sent.load(std::memory_order_relaxed);
   stats.msgs_dropped = worker.dropped.load(std::memory_order_relaxed);
   return stats;
 }

@@ -6,8 +6,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -15,13 +13,10 @@
 #include <vector>
 
 #include "core/machine.hpp"
-#include "net/adaptive.hpp"
-#include "net/devices.hpp"
+#include "core/trace_rings.hpp"
 #include "net/latency_model.hpp"
-#include "net/reliable.hpp"
 #include "net/thread_fabric.hpp"
 #include "obs/mpsc_ring.hpp"
-#include "obs/ring_buffer.hpp"
 
 namespace mdo::core {
 
@@ -36,40 +31,6 @@ class ThreadMachine final : public Machine {
                 MachineOptions options);
   ~ThreadMachine() override;
 
-  /// Install the artificial-latency delay device (call before traffic).
-  net::DelayDevice* add_delay_device(sim::TimeNs cross_cluster_one_way);
-
-  /// Install the reliability stack (optional coalesce + reliable +
-  /// optional heartbeat + checksum + fault devices, plus a delay device
-  /// when cross_cluster_one_way > 0). Call before traffic flows.
-  const net::ReliabilityStack& add_reliability_stack(
-      const net::ReliableConfig& reliable, const net::FaultConfig& faults,
-      sim::TimeNs cross_cluster_one_way = 0,
-      const net::HeartbeatConfig& heartbeat = {},
-      const net::CoalesceConfig& coalesce = {},
-      const net::CompressionConfig& compression = {},
-      const net::StripingConfig& striping = {});
-
-  /// Install a standalone coalescing device (clean-fabric scenarios).
-  /// Call before traffic flows and before add_delay_device.
-  net::CoalesceDevice* add_coalesce_device(const net::CoalesceConfig& config);
-
-  /// Install the adaptive WAN controller over the already-installed
-  /// reliability stack. Its sampling ticker runs on the fabric
-  /// dispatcher thread (which owns the chain mutex), so knob mutations
-  /// are serialized against sends. Arm with adaptive()->start(horizon).
-  /// Call after add_reliability_stack and before traffic flows.
-  net::AdaptiveController* add_adaptive_controller(
-      const net::AdaptiveConfig& config);
-
-  /// The installed adaptive controller (null if none).
-  net::AdaptiveController* adaptive() const override { return adaptive_; }
-
-  /// The coalescing device, standalone or in-stack (null if none).
-  net::CoalesceDevice* coalesce() const override {
-    return coalesce_ != nullptr ? coalesce_ : rel_stack_.coalesce;
-  }
-
   /// Crash-inject: PE `pe` stops scheduling work. Cooperative fail-stop —
   /// a handler already running finishes, but nothing it sends escapes,
   /// its queue is drained (counted in msgs_dropped), and the fabric
@@ -78,22 +39,7 @@ class ThreadMachine final : public Machine {
   /// abandoned retransmission flow would strand quiescence accounting.
   void kill_pe(Pe pe) override;
 
-  /// PEs killed so far (test convenience).
-  std::uint64_t pes_killed() const override {
-    return kills_.load(std::memory_order_acquire);
-  }
-
-  /// The installed reliability stack (devices null if never installed).
-  const net::ReliabilityStack& reliability() const override {
-    return rel_stack_;
-  }
-
-  net::ThreadFabric& fabric() { return *fabric_; }
-
   // -- Machine interface --------------------------------------------------
-  void bind(Runtime* runtime) override { rt_ = runtime; }
-  int num_pes() const override { return static_cast<int>(topo_.num_nodes()); }
-  const net::Topology& topology() const override { return topo_; }
   Pe current_pe() const override;
   sim::TimeNs now() const override;
   void send(Envelope&& env) override;
@@ -102,31 +48,16 @@ class ThreadMachine final : public Machine {
   PeStats pe_stats(Pe pe) const override;
   bool pe_alive(Pe pe) const override;
   net::Fabric::Stats fabric_stats() const override { return fabric_->stats(); }
-  /// Call before traffic flows (workers synchronize on the queue mutex).
-  void set_on_pe_idle(std::function<void(Pe)> fn) override {
-    on_pe_idle_ = std::move(fn);
-  }
-  void set_park_limit(std::size_t limit) override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    park_limit_ = limit;
+  /// Runs `fn` on the fabric dispatcher thread after `dt`.
+  void call_after(sim::TimeNs dt, std::function<void()> fn) override {
+    fabric_->host_schedule(dt, std::move(fn));
   }
 
-  /// Envelopes currently parked behind quarantine backpressure.
-  std::size_t parked_envelopes() const override {
-    std::lock_guard<std::mutex> lock(park_mutex_);
-    std::size_t total = 0;
-    for (const auto& [dst, q] : parked_) total += q.size();
-    return total;
-  }
-
-  /// Entry-interval tracing into lock-free per-PE ring buffers: each
-  /// worker thread is the sole producer of its own ring, so recording
-  /// never takes a lock on the delivery path. Call before traffic flows.
-  /// When a ring fills, events are dropped and counted (trace.dropped).
+  /// Entry-interval tracing into per-PE TraceRings (each worker is the
+  /// sole producer of its ring). Call before traffic flows. trace() is
+  /// complete only once traffic has quiesced.
   void set_tracing(bool on) override;
-  /// Drains the rings (chronologically merged by begin time). Complete
-  /// only once traffic has quiesced — run() returned or stop() joined.
-  std::vector<TraceEvent> trace() const override;
+  std::vector<TraceEvent> trace() const override { return traces_.collect(); }
   void trace_phase(std::int32_t phase) override;
 
  private:
@@ -161,6 +92,7 @@ class ThreadMachine final : public Machine {
     // Stats as atomics: producers (drops) and the worker (execution)
     // update without taking the worker mutex on the hot path.
     std::atomic<std::uint64_t> executed{0};
+    std::atomic<std::uint64_t> sent{0};  ///< sends charged to this PE
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::int64_t> busy_ns{0};
     std::atomic<std::size_t> runq_depth{0};  ///< metrics snapshot
@@ -181,51 +113,21 @@ class ThreadMachine final : public Machine {
   void route(Envelope&& env);
   /// A message left the pending count without executing (crashed PE).
   void drop_pending();
-  /// Backpressure: hold an envelope for a congested peer; sheds the
-  /// least-urgent parked one past park_limit_. Parked envelopes stay in
-  /// the pending count, so quiescence waits for the heal.
-  void park(Envelope&& env);
-  void flush_parked(Pe dst);  ///< congestion cleared: re-route by priority
 
-  net::Topology topo_;
   MachineOptions options_;
   net::GridLatencyModel model_;
   std::unique_ptr<net::ThreadFabric> fabric_;
-  net::ReliabilityStack rel_stack_;
-  net::CoalesceDevice* coalesce_ = nullptr;  ///< standalone install only
-  net::AdaptiveController* adaptive_ = nullptr;
-  std::function<void(Pe)> on_pe_idle_;
-  Runtime* rt_ = nullptr;
 
   std::vector<std::unique_ptr<PeWorker>> workers_;
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> kills_{0};
 
-  /// Quarantine backpressure. The per-peer congested flags mirror the
-  /// reliable device's state (updated in its congestion callback) so the
-  /// route() hot path never touches device internals from worker
-  /// threads. Parked envelopes and counters live under park_mutex_.
-  std::vector<std::atomic<bool>> congested_;
-  mutable std::mutex park_mutex_;
-  std::map<Pe, std::vector<Envelope>> parked_;
-  std::size_t park_limit_ = std::numeric_limits<std::size_t>::max();
-  std::uint64_t stall_parked_ = 0;
-  std::uint64_t stall_resumed_ = 0;
-  std::uint64_t stall_shed_ = 0;
-
-  // Tracing. One ring per PE (producer: that PE's worker thread) plus a
-  // final ring for the host thread's phase markers (producer: the main
-  // thread, which never races a worker). trace() drains rings into
-  // collected_trace_ under trace_mutex_.
-  std::atomic<bool> tracing_{false};
-  std::vector<std::unique_ptr<obs::SpscRing<TraceEvent>>> trace_rings_;
-  mutable std::mutex trace_mutex_;
-  mutable std::vector<TraceEvent> collected_trace_;
+  TraceRings traces_;
 
   // Quiescence: messages anywhere in the system (queued, in flight, or
   // executing). send() increments; the worker decrements after the
-  // handler returns, so 0 means nothing can create new work.
+  // handler returns, so 0 means nothing can create new work. Parked
+  // envelopes stay counted, so quiescence waits for the heal.
   std::atomic<std::int64_t> pending_{0};
   std::mutex done_mutex_;
   std::condition_variable done_cv_;

@@ -125,18 +125,6 @@ void apply_artificial_links(net::DelayDevice* delay,
   }
 }
 
-/// Wire the machine's scheduler-idle notification to the coalescing
-/// device: a PE that runs out of work flushes its pending bundles
-/// immediately instead of waiting out the backstop timer.
-template <class M>
-void wire_idle_flush(M& machine) {
-  net::CoalesceDevice* coalesce = machine.coalesce();
-  if (coalesce == nullptr) return;
-  machine.set_on_pe_idle([coalesce](core::Pe pe) {
-    coalesce->flush_source(static_cast<net::NodeId>(pe));
-  });
-}
-
 /// Whether the full reliability stack (rather than the bare delay
 /// device) must be installed. Adaptation needs the ack RTT estimator;
 /// compression/striping live inside the stack; force_reliability makes
@@ -146,90 +134,46 @@ bool wants_stack(const Scenario& s) {
          s.compression.enabled || s.striping.enabled || s.force_reliability;
 }
 
-/// Realize the scheduled link drifts as delay-device retargets at their
-/// fabric times. `schedule` is engine().schedule_at under SimMachine and
-/// fabric host_schedule (relative to the ~0 start) under ThreadMachine.
-template <class ScheduleFn>
-void schedule_link_drifts(const Scenario& s, net::DelayDevice* delay,
-                          ScheduleFn&& schedule) {
-  if (s.link_drifts.empty()) return;
-  MDO_CHECK_MSG(delay != nullptr,
-                "link drifts need the artificial delay device");
-  for (const Scenario::LinkDrift& d : s.link_drifts) {
-    schedule(d.at, [delay, d] {
-      delay->set_cluster_delay(d.src, d.dst, d.latency);
-    });
-  }
-}
-
 /// Shared chain-building for every backend: reliability stack or bare
 /// delay device, optional standalone coalescing, optional adaptive
-/// controller. All three machine classes expose the identical installer
-/// surface, so one template keeps the backends composition-identical by
-/// construction. Returns the delay device (drift target), if any.
-template <class M>
-net::DelayDevice* install_chain(M& machine, const Scenario& s) {
+/// controller. Returns the delay device (drift target), if any.
+net::DelayDevice* install_chain(core::ChainHost& chain, const Scenario& s,
+                                const net::Topology& topo) {
   net::DelayDevice* delay = nullptr;
   if (wants_stack(s)) {
-    const net::ReliabilityStack& stack = machine.add_reliability_stack(
+    const net::ReliabilityStack& stack = chain.add_reliability_stack(
         s.reliable, s.faults, stack_delay(s), s.heartbeat, s.coalesce,
         s.compression, s.striping);
-    apply_artificial_links(stack.delay, machine.topology());
+    apply_artificial_links(stack.delay, topo);
     delay = stack.delay;
-    if (s.adaptive.enabled) machine.add_adaptive_controller(s.adaptive);
+    if (s.adaptive.enabled) chain.add_adaptive_controller(s.adaptive);
   } else {
     // Clean fabric: coalesce (if requested) above the bare delay device,
     // so a bundle pays the artificial WAN latency once.
-    if (s.coalesce.enabled) machine.add_coalesce_device(s.coalesce);
+    if (s.coalesce.enabled) chain.add_coalesce_device(s.coalesce);
     if (s.mode == Scenario::Mode::kArtificial && stack_delay(s) > 0) {
-      delay = machine.add_delay_device(s.artificial_one_way);
-      apply_artificial_links(delay, machine.topology());
+      delay = chain.add_delay_device(s.artificial_one_way);
+      apply_artificial_links(delay, topo);
     }
   }
   return delay;
 }
 
-std::unique_ptr<core::SimMachine> build_sim(const Scenario& s) {
-  auto machine = std::make_unique<core::SimMachine>(s.topology(),
-                                                    link_config(s), overheads());
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::SimMachine* sim = machine.get();
-  schedule_link_drifts(s, delay, [sim](sim::TimeNs at, auto fn) {
-    sim->engine().schedule_at(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
-}
-
-std::unique_ptr<core::ThreadMachine> build_thread(const Scenario& s,
-                                                  core::MachineOptions options) {
-  auto machine = std::make_unique<core::ThreadMachine>(s.topology(),
-                                                       link_config(s), options);
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::ThreadMachine* tm = machine.get();
-  schedule_link_drifts(s, delay, [tm](sim::TimeNs at, auto fn) {
-    tm->fabric().host_schedule(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
-}
-
-std::unique_ptr<core::ProcessMachine> build_process(
-    const Scenario& s, core::MachineOptions options) {
-  auto machine = std::make_unique<core::ProcessMachine>(s.topology(),
-                                                        link_config(s), options);
-  net::DelayDevice* delay = install_chain(*machine, s);
-  core::ProcessMachine* pm = machine.get();
-  // Pre-fork schedule_at stages the retargets for replay in *every*
-  // process: each one's inherited delay-device copy drifts in step.
-  schedule_link_drifts(s, delay, [pm](sim::TimeNs at, auto fn) {
-    pm->schedule_at(at, std::move(fn));
-  });
-  wire_idle_flush(*machine);
-  machine->set_tracing(s.tracing);
-  return machine;
+std::unique_ptr<core::Machine> construct(const Scenario& s, Backend backend,
+                                         core::MachineOptions options) {
+  switch (backend) {
+    case Backend::kSim:
+      return std::make_unique<core::SimMachine>(s.topology(), link_config(s),
+                                                overheads());
+    case Backend::kThread:
+      return std::make_unique<core::ThreadMachine>(s.topology(),
+                                                   link_config(s), options);
+    case Backend::kProcess:
+      return std::make_unique<core::ProcessMachine>(s.topology(),
+                                                    link_config(s), options);
+  }
+  MDO_CHECK_MSG(false, "unknown backend");
+  return nullptr;
 }
 
 }  // namespace
@@ -237,25 +181,31 @@ std::unique_ptr<core::ProcessMachine> build_process(
 std::unique_ptr<core::Machine> make_machine(const Scenario& scenario,
                                             Backend backend,
                                             core::MachineOptions options) {
-  switch (backend) {
-    case Backend::kSim:
-      return build_sim(scenario);
-    case Backend::kThread:
-      return build_thread(scenario, options);
-    case Backend::kProcess:
-      return build_process(scenario, options);
+  std::unique_ptr<core::Machine> machine =
+      construct(scenario, backend, options);
+  net::DelayDevice* delay =
+      install_chain(machine->chain_host(), scenario, machine->topology());
+  // Scheduled link drifts become delay-device retargets at their machine
+  // times (on ProcessMachine pre-fork call_after stages them for replay
+  // in every process, so each inherited delay-device copy drifts in step).
+  if (!scenario.link_drifts.empty()) {
+    MDO_CHECK_MSG(delay != nullptr,
+                  "link drifts need the artificial delay device");
+    for (const Scenario::LinkDrift& d : scenario.link_drifts) {
+      machine->call_after(d.at, [delay, d] {
+        delay->set_cluster_delay(d.src, d.dst, d.latency);
+      });
+    }
   }
-  MDO_CHECK_MSG(false, "unknown backend");
-  return nullptr;
-}
-
-std::unique_ptr<core::SimMachine> make_sim_machine(const Scenario& s) {
-  return build_sim(s);
-}
-
-std::unique_ptr<core::ThreadMachine> make_thread_machine(
-    const Scenario& s, core::MachineOptions options) {
-  return build_thread(s, options);
+  // A PE that runs out of work flushes its pending bundles immediately
+  // instead of waiting out the coalescing backstop timer.
+  if (net::CoalesceDevice* coalesce = machine->coalesce()) {
+    machine->set_on_pe_idle([coalesce](core::Pe pe) {
+      coalesce->flush_source(static_cast<net::NodeId>(pe));
+    });
+  }
+  machine->set_tracing(scenario.tracing);
+  return machine;
 }
 
 }  // namespace mdo::grid

@@ -371,15 +371,4 @@ inline std::unique_ptr<core::Machine> make_machine(
   return make_machine(scenario, scenario.backend, options);
 }
 
-// -- deprecated factory shims ----------------------------------------------
-// The concrete-type factories predate the Backend enum; they survive as
-// thin wrappers for out-of-tree callers. In-tree code uses make_machine.
-
-[[deprecated("use make_machine(scenario, Backend::kSim)")]]
-std::unique_ptr<core::SimMachine> make_sim_machine(const Scenario& scenario);
-
-[[deprecated("use make_machine(scenario, Backend::kThread, options)")]]
-std::unique_ptr<core::ThreadMachine> make_thread_machine(
-    const Scenario& scenario, core::MachineOptions options = {});
-
 }  // namespace mdo::grid

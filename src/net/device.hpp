@@ -74,6 +74,7 @@ class FilterDevice {
   /// Called by the chain when it is attached to a fabric. Devices that
   /// never originate traffic can ignore the host.
   void bind_host(DeviceHost* host) { host_ = host; }
+  DeviceHost* host() const { return host_; }
 
   /// Transform the outgoing packet list in place. Most devices rewrite
   /// each packet; the striping device replaces one packet with fragments.

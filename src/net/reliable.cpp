@@ -72,11 +72,6 @@ bool ReliableDevice::peer_quarantined(NodeId peer) const {
   return it != quarantine_.end() && it->second.active;
 }
 
-bool ReliableDevice::peer_congested(NodeId peer) const {
-  auto it = quarantine_.find(peer);
-  return it != quarantine_.end() && it->second.congested;
-}
-
 void ReliableDevice::note_quarantine_peaks(const Quarantine& q) {
   counters_.quarantine_peak_frames =
       std::max<std::uint64_t>(counters_.quarantine_peak_frames, q.frames);

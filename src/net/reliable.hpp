@@ -137,9 +137,6 @@ class ReliableDevice final : public FilterDevice {
   void abandon_peer(NodeId peer);
 
   bool peer_quarantined(NodeId peer) const;
-  /// True while the peer's quarantine buffer sits at its bound and
-  /// senders should hold off. Latched until the quarantine ends.
-  bool peer_congested(NodeId peer) const;
   /// Fabric time of the most recent quarantine resume (0 if none) —
   /// the heal-to-resume clock for the partition sweep.
   sim::TimeNs last_resume_at() const { return last_resume_at_; }

@@ -52,6 +52,8 @@ struct ParityRun {
   double sum = 0.0;
   std::uint64_t wan_wire_frames = 0;
   std::uint64_t msgs_executed = 0;
+  std::uint64_t msgs_sent = 0;        ///< rt.sched.msgs_sent
+  std::uint64_t msgs_dropped = 0;     ///< rt.sched.msgs_dropped
   std::uint64_t shard_handoffs = 0;   ///< rt.sched.shard.handoffs
   double shards = 0.0;                ///< rt.sched.shard.shards gauge
   std::set<std::string> metric_keys;  ///< rt./mem./trace.-prefixed names
@@ -88,6 +90,8 @@ ParityRun run_reduction(grid::Backend backend, int rounds) {
   out.wan_wire_frames = rt.machine().fabric_stats().wan_wire_frames;
   auto snap = rt.machine().metrics().snapshot();
   out.msgs_executed = snap.counter("rt.sched.msgs_executed");
+  out.msgs_sent = snap.counter("rt.sched.msgs_sent");
+  out.msgs_dropped = snap.counter("rt.sched.msgs_dropped");
   out.shard_handoffs = snap.counter("rt.sched.shard.handoffs");
   out.shards = snap.gauge("rt.sched.shard.shards");
   for (const auto& [name, value] : snap.values) {
@@ -119,6 +123,18 @@ TEST(BackendParity, WanWireFramesAndExecutedCountsAgree) {
     ParityRun r = run_reduction(b, 4);
     EXPECT_EQ(r.wan_wire_frames, ref.wan_wire_frames) << backend_name(b);
     EXPECT_EQ(r.msgs_executed, ref.msgs_executed) << backend_name(b);
+  }
+}
+
+TEST(BackendParity, SendCountBalancesAfterQuiescence) {
+  // Every envelope a backend accepted was executed or dropped by the
+  // time run() returns, so the scheduler's send count balances — host
+  // sends included (charged to PE 0 on every backend).
+  for (grid::Backend b : kBackends) {
+    ParityRun r = run_reduction(b, 3);
+    ASSERT_GT(r.msgs_executed, 0u) << backend_name(b);
+    EXPECT_EQ(r.msgs_sent, r.msgs_executed + r.msgs_dropped)
+        << backend_name(b);
   }
 }
 
