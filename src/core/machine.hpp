@@ -53,6 +53,28 @@ struct PeStats {
                                     ///< for quiescence accounting)
 };
 
+/// PeStats as relaxed atomics: senders, droppers and the executing thread
+/// update them without a lock; readers want counts, not ordering.
+struct PeCounters {
+  std::atomic<sim::TimeNs> busy_ns{0};
+  std::atomic<std::uint64_t> executed{0};
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> dropped{0};
+
+  PeStats load() const {
+    return {busy_ns.load(std::memory_order_relaxed),
+            executed.load(std::memory_order_relaxed),
+            sent.load(std::memory_order_relaxed),
+            dropped.load(std::memory_order_relaxed)};
+  }
+  void reset() {
+    busy_ns.store(0, std::memory_order_relaxed);
+    executed.store(0, std::memory_order_relaxed);
+    sent.store(0, std::memory_order_relaxed);
+    dropped.store(0, std::memory_order_relaxed);
+  }
+};
+
 /// One executed-entry interval, recorded when tracing is enabled.
 /// Feeds the Figure-2 timeline reproduction.
 struct TraceEvent {

@@ -156,10 +156,7 @@ ProcessMachine::ProcessMachine(net::Topology topo,
   // bounded-ring fallback path.
   register_sched_metrics(local_metrics_, [this] {
     SchedSample s;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      s.total = stats_;
-    }
+    s.total = counters_.load();
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       s.queued = queue_.size();
@@ -359,7 +356,7 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
     // The parent routes (and has counted) the buffered setup sends for
     // the whole mesh; the inherited copies and counts must not double.
     setup_queue_.clear();
-    stats_ = PeStats{};
+    counters_.reset();
     control_thread_ = std::thread([this] { control_loop(child_ctl_fd_); });
   }
   // Replay timers staged before the fork (detector watch, adaptive
@@ -393,10 +390,7 @@ sim::TimeNs ProcessMachine::now() const {
 
 void ProcessMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.msgs_sent;
-  }
+  counters_.sent.fetch_add(1, std::memory_order_relaxed);
   if (!forked_) {
     // Setup traffic is buffered and routed by the parent right after the
     // fork (the children clear their inherited copies).
@@ -424,10 +418,10 @@ void ProcessMachine::dispatch(Envelope&& env) {
   const Pe dst = env.dst_pe;
   if (dead_[static_cast<std::size_t>(dst)].load(std::memory_order_acquire)) {
     // The destination process is gone; balance the pair like a drop.
+    // The count comes first so a wave that sees the balance sees it too.
+    counters_.dropped.fetch_add(1, std::memory_order_relaxed);
     undeliv_to_[static_cast<std::size_t>(dst)].fetch_add(
         1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.msgs_dropped;
     return;
   }
   if (dst == self_pe_) {
@@ -533,12 +527,10 @@ bool ProcessMachine::execute_one() {
                               kind});
   }
   bool idle_now = false;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.busy_ns +=
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-    ++stats_.msgs_executed;
-  }
+  counters_.busy_ns.fetch_add(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
+      std::memory_order_relaxed);
+  counters_.executed.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     idle_now = queue_.empty();
@@ -673,10 +665,7 @@ ProcessMachine::CtlStatus ProcessMachine::local_status() {
     s.acct_from[i] = acct_from_[i].load(std::memory_order_acquire);
     s.undeliv_to[i] = undeliv_to_[i].load(std::memory_order_acquire);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    s.stats = stats_;
-  }
+  s.stats = counters_.load();
   s.fstats = fabric_ ? fabric_->stats() : net::Fabric::Stats{};
   s.reg_count = Registry::instance().size();
   s.reg_hash = Registry::instance().fingerprint(s.reg_count);
@@ -933,10 +922,7 @@ bool ProcessMachine::pe_alive(Pe pe) const {
 
 PeStats ProcessMachine::pe_stats(Pe pe) const {
   MDO_CHECK(pe >= 0 && pe < num_pes());
-  if (pe == self_pe_) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_;
-  }
+  if (pe == self_pe_) return counters_.load();
   MDO_CHECK_MSG(role_ == Role::kParent, "remote pe_stats are host-side only");
   if (!forked_) return {};
   auto* self = const_cast<ProcessMachine*>(this);
@@ -977,6 +963,7 @@ net::Fabric::Stats ProcessMachine::fabric_stats() const {
     total.dead_node_drops += f.dead_node_drops;
     total.wire_frames += f.wire_frames;
     total.wan_wire_frames += f.wan_wire_frames;
+    total.wake_signals += f.wake_signals;
   }
   return total;
 }

@@ -253,8 +253,7 @@ class ProcessMachine final : public Machine {
   std::atomic<std::uint64_t> handoff_pops_{0};  ///< queue pops (batches of 1)
   std::atomic<bool> idle_{false};  // child: main thread parked, queue empty
 
-  mutable std::mutex stats_mutex_;
-  PeStats stats_;  // this process's PE
+  PeCounters counters_;  // this process's PE; reset in a child at fork
 
   // Quiescence counters (monotone; read by the control thread).
   std::vector<std::atomic<std::uint64_t>> sent_to_, acct_from_, undeliv_to_;

@@ -57,10 +57,11 @@ ThreadMachine::ThreadMachine(net::Topology topo,
   register_sched_metrics(metrics_, [this] {
     SchedSample s;
     for (const auto& worker : workers_) {
-      s.total.msgs_executed += worker->executed.load(std::memory_order_relaxed);
-      s.total.msgs_sent += worker->sent.load(std::memory_order_relaxed);
-      s.total.msgs_dropped += worker->dropped.load(std::memory_order_relaxed);
-      s.total.busy_ns += worker->busy_ns.load(std::memory_order_relaxed);
+      const PeStats pe = worker->counters.load();
+      s.total.msgs_executed += pe.msgs_executed;
+      s.total.msgs_sent += pe.msgs_sent;
+      s.total.msgs_dropped += pe.msgs_dropped;
+      s.total.busy_ns += pe.busy_ns;
       s.queued += worker->runq_depth.load(std::memory_order_relaxed) +
                   worker->inbox->size() +
                   worker->overflow_count.load(std::memory_order_relaxed);
@@ -127,7 +128,7 @@ void ThreadMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
   // Charged to the source PE; host-thread sends act as PE 0.
   workers_[static_cast<std::size_t>(env.src_pe >= 0 ? env.src_pe : 0)]
-      ->sent.fetch_add(1, std::memory_order_relaxed);
+      ->counters.sent.fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_add(1, std::memory_order_acq_rel);
   route(std::move(env));
 }
@@ -146,7 +147,7 @@ void ThreadMachine::route(Envelope&& env) {
     // A handler that was mid-flight when its PE was killed: its output
     // never reaches the wire (matches the fabric-level squash for frames
     // from dead nodes, but keeps the pending count balanced).
-    workers_[static_cast<std::size_t>(env.src_pe)]->dropped.fetch_add(
+    workers_[static_cast<std::size_t>(env.src_pe)]->counters.dropped.fetch_add(
         1, std::memory_order_relaxed);
     drop_pending();
     return;
@@ -173,7 +174,7 @@ void ThreadMachine::enqueue(Pe pe, Envelope&& env) {
     // Fast-path discard. An envelope that races past this check lands in
     // the inbox and is discarded by the worker's drain pump instead —
     // either way the pending count stays balanced.
-    worker.dropped.fetch_add(1, std::memory_order_relaxed);
+    worker.counters.dropped.fetch_add(1, std::memory_order_relaxed);
     drop_pending();
     return;
   }
@@ -222,7 +223,7 @@ void ThreadMachine::discard_runq(PeWorker& worker) {
     ++drained;
   }
   worker.runq_depth.store(0, std::memory_order_relaxed);
-  worker.dropped.fetch_add(drained, std::memory_order_relaxed);
+  worker.counters.dropped.fetch_add(drained, std::memory_order_relaxed);
   for (std::size_t i = 0; i < drained; ++i) drop_pending();
 }
 
@@ -283,10 +284,10 @@ void ThreadMachine::worker_loop(Pe pe) {
                                 entry, kind});
     }
 
-    worker.busy_ns.fetch_add(
+    worker.counters.busy_ns.fetch_add(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
         std::memory_order_relaxed);
-    worker.executed.fetch_add(1, std::memory_order_relaxed);
+    worker.counters.executed.fetch_add(1, std::memory_order_relaxed);
 
     const bool idle_now =
         worker.runq.empty() && !worker.inbox->consumer_has_items();
@@ -324,13 +325,7 @@ void ThreadMachine::stop() {
 
 PeStats ThreadMachine::pe_stats(Pe pe) const {
   MDO_CHECK(pe >= 0 && pe < num_pes());
-  const PeWorker& worker = *workers_[static_cast<std::size_t>(pe)];
-  PeStats stats;
-  stats.busy_ns = worker.busy_ns.load(std::memory_order_relaxed);
-  stats.msgs_executed = worker.executed.load(std::memory_order_relaxed);
-  stats.msgs_sent = worker.sent.load(std::memory_order_relaxed);
-  stats.msgs_dropped = worker.dropped.load(std::memory_order_relaxed);
-  return stats;
+  return workers_[static_cast<std::size_t>(pe)]->counters.load();
 }
 
 bool ThreadMachine::pe_alive(Pe pe) const {

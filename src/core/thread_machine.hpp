@@ -1,8 +1,9 @@
 #pragma once
 // ThreadMachine: one OS thread per PE, real wall-clock time, and a
 // ThreadFabric that holds cross-node packets for their modeled delay.
-// Used by the examples and integration tests; the benchmark sweeps use
-// SimMachine (deterministic virtual time) instead.
+// Used by the examples, the integration tests and the wall-clock
+// workloads of perfbench (messaging, cmfd_wavefront); the paper's figure
+// sweeps in bench/ use SimMachine (deterministic virtual time).
 
 #include <atomic>
 #include <condition_variable>
@@ -89,12 +90,9 @@ class ThreadMachine final : public Machine {
     std::atomic<bool> sleeping{false};
     std::atomic<bool> dead{false};  ///< fail-stop: set once, never cleared
 
-    // Stats as atomics: producers (drops) and the worker (execution)
-    // update without taking the worker mutex on the hot path.
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> sent{0};  ///< sends charged to this PE
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::int64_t> busy_ns{0};
+    // Producers (sends charged to this PE, drops) and the worker
+    // (execution) update without taking the worker mutex on the hot path.
+    PeCounters counters;
     std::atomic<std::size_t> runq_depth{0};  ///< metrics snapshot
 
     // Consumer-private state: only the worker thread touches these.

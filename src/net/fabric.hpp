@@ -1,8 +1,9 @@
 #pragma once
 // Fabric: the terminal transport under a device chain. Delivers packets
-// between nodes of a Topology according to a LatencyModel. Two concrete
-// fabrics exist: SimFabric (virtual time, discrete-event) and
-// ThreadFabric (real threads and real sleeps).
+// between nodes of a Topology according to a LatencyModel. Three concrete
+// fabrics exist: SimFabric (virtual time, discrete-event), ThreadFabric
+// (real threads and real sleeps) and SocketFabric (one process per node,
+// stream sockets); the last two share DeadlineFabric's wall-clock queue.
 
 #include <cstdint>
 #include <functional>
@@ -55,6 +56,8 @@ class Fabric {
                                         ///< post-chain (a coalesced bundle
                                         ///< counts once)
     std::uint64_t wan_wire_frames = 0;  ///< of those, cross-cluster
+    std::uint64_t wake_signals = 0;     ///< times a send, injection or timer
+                                        ///< woke the fabric thread (0 on Sim)
   };
   virtual Stats stats() const = 0;
 };

@@ -155,6 +155,7 @@ void register_fabric_metrics(obs::MetricRegistry& reg, const Fabric& fabric) {
     sink.counter("dead_node_drops", s.dead_node_drops);
     sink.counter("wire_frames", s.wire_frames);
     sink.counter("wan_wire_frames", s.wan_wire_frames);
+    sink.counter("wake_signals", s.wake_signals);
   });
 }
 

@@ -91,18 +91,11 @@ std::optional<Packet> FrameDecoder::next() {
 SocketFabric::SocketFabric(const Topology* topo, LatencyModel* model,
                            Chain chain, NodeId self,
                            std::vector<int> peer_fds, Clock::time_point epoch)
-    : topo_(topo),
-      model_(model),
-      chain_(std::move(chain)),
-      self_(self),
-      epoch_(epoch) {
-  MDO_CHECK(topo_ != nullptr && model_ != nullptr);
+    : DeadlineFabric(topo, model, std::move(chain), epoch), self_(self) {
   MDO_CHECK(self_ >= 0 &&
-            static_cast<std::size_t>(self_) < topo_->num_nodes());
-  MDO_CHECK(peer_fds.size() == topo_->num_nodes());
-  chain_.set_host(this);
-  handlers_.resize(topo_->num_nodes());
-  peers_.resize(topo_->num_nodes());
+            static_cast<std::size_t>(self_) < topology().num_nodes());
+  MDO_CHECK(peer_fds.size() == topology().num_nodes());
+  peers_.resize(topology().num_nodes());
   for (std::size_t j = 0; j < peer_fds.size(); ++j) {
     peers_[j].fd = peer_fds[j];
   }
@@ -123,12 +116,7 @@ void SocketFabric::start() {
 }
 
 void SocketFabric::shutdown() {
-  {
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  wake();
+  if (!request_stop()) return;
   if (network_.joinable()) network_.join();
   std::lock_guard<std::recursive_mutex> lock(mutex_);
   for (auto& peer : peers_) {
@@ -140,7 +128,7 @@ void SocketFabric::shutdown() {
   wake_r_ = wake_w_ = -1;
 }
 
-void SocketFabric::wake() {
+void SocketFabric::signal() {
   const char byte = 1;
   for (;;) {
     ssize_t n = ::write(wake_w_, &byte, 1);
@@ -151,133 +139,11 @@ void SocketFabric::wake() {
 }
 
 void SocketFabric::set_delivery_handler(NodeId node, DeliverFn handler) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
   MDO_CHECK(node == self_);
-  handlers_[static_cast<std::size_t>(node)] = std::move(handler);
+  DeadlineFabric::set_delivery_handler(node, std::move(handler));
 }
 
-void SocketFabric::set_node_up_probe(NodeUpProbe probe) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  node_up_ = std::move(probe);
-}
-
-bool SocketFabric::host_node_up(NodeId node) const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return !node_up_ || node_up_(node);
-}
-
-void SocketFabric::enqueue_frames(std::vector<Packet>& wire,
-                                  const SendContext& ctx) {
-  const sim::TimeNs now = now_ns();
-  for (auto& frame : wire) {
-    // Fail-stop crash model, same as ThreadFabric: a dead node's frames
-    // never reach the wire. Here src is always the local node, so this
-    // only fires once the local PE itself has been declared dead.
-    if (node_up_ && !node_up_(frame.src)) {
-      ++stats_.dead_node_drops;
-      continue;
-    }
-    ++stats_.wire_frames;
-    if (!topo_->same_cluster(frame.src, frame.dst)) ++stats_.wan_wire_frames;
-    sim::TimeNs enter_net = now + ctx.extra_delay + frame.hold_ns;
-    frame.hold_ns = 0;
-    sim::TimeNs net_delay = model_->delivery_delay(
-        frame.src, frame.dst, frame.payload.size(), enter_net);
-    Clock::time_point due =
-        epoch_ + std::chrono::nanoseconds(enter_net + net_delay);
-    pending_.push(Timed{due, next_seq_++, std::move(frame)});
-  }
-}
-
-sim::TimeNs SocketFabric::send(Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  MDO_CHECK(!stop_);
-  packet.id = next_id_++;
-  packet.inject_time = now_ns();
-
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.payload.size();
-  if (!topo_->same_cluster(packet.src, packet.dst)) {
-    ++stats_.wan_packets;
-    stats_.wan_bytes += packet.payload.size();
-  }
-
-  SendContext ctx;
-  send_through(nullptr, std::move(packet), ctx);
-  wake();
-  return ctx.cpu_cost;
-}
-
-void SocketFabric::inject_send(const FilterDevice* from, Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
-  ++stats_.frames_injected;
-  SendContext ctx;
-  send_through(from, std::move(packet), ctx);
-  wake();
-}
-
-void SocketFabric::send_through(const FilterDevice* below, Packet&& packet,
-                                SendContext& ctx) {
-  if (wire_busy_) {
-    std::vector<Packet> wire =
-        below == nullptr
-            ? chain_.apply_send(std::move(packet), ctx)
-            : chain_.apply_send_below(below, std::move(packet), ctx);
-    enqueue_frames(wire, ctx);
-    return;
-  }
-  wire_busy_ = true;
-  if (below == nullptr) {
-    chain_.apply_send(std::move(packet), ctx, wire_scratch_);
-  } else {
-    chain_.apply_send_below(below, std::move(packet), ctx, wire_scratch_);
-  }
-  enqueue_frames(wire_scratch_, ctx);
-  wire_scratch_.clear();
-  wire_busy_ = false;
-}
-
-void SocketFabric::inject_receive(const FilterDevice* from, Packet&& packet) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
-  std::optional<Packet> complete =
-      chain_.apply_receive_above(from, std::move(packet));
-  if (!complete.has_value()) return;
-  ++stats_.packets_delivered;
-  DeliverFn handler = handlers_[static_cast<std::size_t>(complete->dst)];
-  MDO_CHECK_MSG(static_cast<bool>(handler), "no delivery handler registered");
-  // Called with the fabric mutex held (nested inside a chain transform);
-  // same contract as ThreadFabric.
-  handler(std::move(*complete));
-}
-
-void SocketFabric::host_schedule(sim::TimeNs dt, std::function<void()> fn) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  if (stop_) return;
-  Clock::time_point due = Clock::now() + std::chrono::nanoseconds(dt);
-  timers_.push(Timer{due, next_seq_++, std::move(fn)});
-  wake();
-}
-
-void SocketFabric::deliver_complete(
-    Packet&& packet, std::unique_lock<std::recursive_mutex>& lock) {
-  std::optional<Packet> complete = chain_.apply_receive(std::move(packet));
-  if (!complete.has_value()) return;
-  ++stats_.packets_delivered;
-  MDO_CHECK(complete->dst == self_);
-  DeliverFn handler = handlers_[static_cast<std::size_t>(complete->dst)];
-  MDO_CHECK_MSG(static_cast<bool>(handler), "no delivery handler registered");
-  // Deliver outside the lock: the handler enqueues into the machine's
-  // mailbox, which takes its own lock and may race with concurrent
-  // send().
-  lock.unlock();
-  handler(std::move(*complete));
-  lock.lock();
-}
-
-void SocketFabric::route_due_frame(
-    Packet&& packet, std::unique_lock<std::recursive_mutex>& lock) {
+void SocketFabric::on_due_frame(Packet&& packet, Lock& lock) {
   if (packet.dst == self_) {
     // Loopback traffic travels through the same deadline queue as remote
     // traffic (delay devices apply), then straight up the receive chain.
@@ -357,8 +223,7 @@ void SocketFabric::flush_peer(Peer& peer) {
   }
 }
 
-void SocketFabric::read_peer(std::size_t index,
-                             std::unique_lock<std::recursive_mutex>& lock) {
+void SocketFabric::read_peer(std::size_t index, Lock& lock) {
   Peer& peer = peers_[index];
   std::array<std::byte, 65536> buf;
   for (;;) {
@@ -387,30 +252,15 @@ void SocketFabric::read_peer(std::size_t index,
 }
 
 void SocketFabric::network_loop() {
-  std::unique_lock<std::recursive_mutex> lock(mutex_);
+  use_exact_timer_slack();
+  Lock lock(mutex_);
   std::vector<struct pollfd> fds;
   std::vector<std::size_t> fd_peer;
   while (!stop_) {
     // 1. Run everything that is due: timers with the mutex held (they
     //    mutate chain state), frames into rings or local delivery.
-    bool due_work = true;
-    while (due_work) {
-      due_work = false;
-      const Clock::time_point now = Clock::now();
-      if (!timers_.empty() && timers_.top().due <= now &&
-          (pending_.empty() || timers_.top().due <= pending_.top().due)) {
-        auto fn = std::move(const_cast<Timer&>(timers_.top()).fn);
-        timers_.pop();
-        fn();
-        due_work = true;
-      } else if (!pending_.empty() && pending_.top().due <= now) {
-        Timed item = std::move(const_cast<Timed&>(pending_.top()));
-        pending_.pop();
-        route_due_frame(std::move(item.packet), lock);
-        due_work = true;
-      }
-      if (stop_) return;
-    }
+    const std::optional<Clock::time_point> next_due = run_due(lock);
+    if (stop_) return;
 
     // 2. Drain send rings as far as the kernel accepts.
     for (auto& peer : peers_) {
@@ -418,12 +268,6 @@ void SocketFabric::network_loop() {
     }
 
     // 3. Sleep until the next deadline or a socket/wakeup event.
-    std::optional<Clock::time_point> next_due;
-    if (!timers_.empty()) next_due = timers_.top().due;
-    if (!pending_.empty() &&
-        (!next_due.has_value() || pending_.top().due < *next_due)) {
-      next_due = pending_.top().due;
-    }
     fds.clear();
     fd_peer.clear();
     fds.push_back({wake_r_, POLLIN, 0});
@@ -471,11 +315,6 @@ void SocketFabric::network_loop() {
       // POLLOUT is handled by the flush pass at the top of the loop.
     }
   }
-}
-
-SocketFabric::Stats SocketFabric::stats() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
-  return stats_;
 }
 
 SocketFabric::SocketStats SocketFabric::socket_stats() const {

@@ -8,10 +8,16 @@
 // + latency-model delay) elapses in wall-clock time, then serializes them
 // into per-peer send rings drained by writev; inbound bytes are
 // reassembled by an incremental FrameDecoder and run up the receive
-// chain. Implements DeviceHost exactly like ThreadFabric (wall-clock
-// timers, ack/retransmission injection) with one addition: it hosts
-// exactly one process-local node, reported via host_local_node(), so
-// node-scoped devices (heartbeat) stop impersonating remote peers.
+// chain. The deadline queue and DeviceHost services (wall-clock timers,
+// ack/retransmission injection) are DeadlineFabric's, shared with
+// ThreadFabric, with one addition: this fabric hosts exactly one
+// process-local node, reported via host_local_node(), so node-scoped
+// devices (heartbeat) stop impersonating remote peers.
+//
+// The network thread sleeps in ppoll until the earliest deadline or a
+// socket event. A sender writes the wake pipe only when it brings that
+// deadline forward, and the thread runs with 1 ns timer slack, so ppoll
+// returns at the modeled deadline, never before it.
 //
 // The frame payload is the machine's envelope wire image, untouched: the
 // fabric prepends a fixed header and hands ByteWriter the already-packed
@@ -19,18 +25,13 @@
 // preserved up to the socket write.
 
 #include <array>
-#include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <optional>
-#include <queue>
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "net/fabric.hpp"
-#include "net/latency_model.hpp"
+#include "net/deadline_fabric.hpp"
 #include "util/buffer.hpp"
 
 namespace mdo::net {
@@ -76,10 +77,8 @@ class FrameDecoder {
   std::size_t pos_ = 0;
 };
 
-class SocketFabric final : public Fabric, public DeviceHost {
+class SocketFabric final : public DeadlineFabric {
  public:
-  using Clock = std::chrono::steady_clock;
-
   /// Counters specific to the socket transport, published under
   /// `fabric.socket.*` by the owning machine.
   struct SocketStats {
@@ -99,9 +98,6 @@ class SocketFabric final : public Fabric, public DeviceHost {
                Clock::time_point epoch);
   ~SocketFabric() override;
 
-  SocketFabric(const SocketFabric&) = delete;
-  SocketFabric& operator=(const SocketFabric&) = delete;
-
   /// Spawn the network thread. Separate from the constructor so the
   /// owning machine can install handlers and probes first.
   void start();
@@ -112,50 +108,14 @@ class SocketFabric final : public Fabric, public DeviceHost {
 
   NodeId self() const { return self_; }
 
-  // -- Fabric --------------------------------------------------------------
-  sim::TimeNs send(Packet&& packet) override;
+  /// Only the local node has a handler here.
   void set_delivery_handler(NodeId node, DeliverFn handler) override;
-  const Topology& topology() const override { return *topo_; }
-  void set_node_up_probe(NodeUpProbe probe) override;
-  Stats stats() const override;
 
   SocketStats socket_stats() const;
 
-  /// Device chain access; only safe to mutate before traffic flows.
-  Chain& chain() { return chain_; }
-
-  // -- DeviceHost ----------------------------------------------------------
-  sim::TimeNs host_now() const override { return now_ns(); }
-  void host_schedule(sim::TimeNs dt, std::function<void()> fn) override;
-  void inject_send(const FilterDevice* from, Packet&& packet) override;
-  void inject_receive(const FilterDevice* from, Packet&& packet) override;
-  bool host_node_up(NodeId node) const override;
   std::optional<NodeId> host_local_node() const override { return self_; }
 
  private:
-  struct Timed {
-    Clock::time_point due;
-    std::uint64_t seq;
-    Packet packet;
-  };
-  struct Later {
-    bool operator()(const Timed& a, const Timed& b) const {
-      if (a.due != b.due) return a.due > b.due;
-      return a.seq > b.seq;
-    }
-  };
-  struct Timer {
-    Clock::time_point due;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.due != b.due) return a.due > b.due;
-      return a.seq > b.seq;
-    }
-  };
-
   /// One serialized frame waiting in a peer's send ring. The payload is
   /// the packed envelope bytes moved straight from the Packet — no copy
   /// between the chain and the socket.
@@ -172,53 +132,24 @@ class SocketFabric final : public Fabric, public DeviceHost {
     FrameDecoder decoder;
   };
 
-  sim::TimeNs now_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                epoch_)
-        .count();
-  }
-
-  /// Schedule the wire frames of one transmission (mutex held).
-  void enqueue_frames(std::vector<Packet>& wire, const SendContext& ctx);
-  void send_through(const FilterDevice* below, Packet&& packet,
-                    SendContext& ctx);
+  /// Write one byte to the wake pipe (mutex held).
+  void signal() override;
   /// A frame's deadline elapsed: loop back (dst == self) or serialize
   /// into the peer's send ring (mutex held; may unlock for delivery).
-  void route_due_frame(Packet&& packet,
-                       std::unique_lock<std::recursive_mutex>& lock);
-  void deliver_complete(Packet&& packet,
-                        std::unique_lock<std::recursive_mutex>& lock);
+  void on_due_frame(Packet&& packet, Lock& lock) override;
   /// Drain a peer's send ring with non-blocking writev (mutex held).
   void flush_peer(Peer& peer);
   /// Drain readable bytes from a peer and deliver completed frames
   /// (mutex held; unlocks around the delivery handler).
-  void read_peer(std::size_t index,
-                 std::unique_lock<std::recursive_mutex>& lock);
+  void read_peer(std::size_t index, Lock& lock);
   void link_down(Peer& peer);
-  void wake();
   void network_loop();
 
-  const Topology* topo_;
-  LatencyModel* model_;
-  Chain chain_;
   NodeId self_;
-  Clock::time_point epoch_;
-
-  mutable std::recursive_mutex mutex_;
   std::vector<Peer> peers_;
   int wake_r_ = -1;
   int wake_w_ = -1;
-  std::priority_queue<Timed, std::vector<Timed>, Later> pending_;
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  std::vector<DeliverFn> handlers_;
-  std::vector<Packet> wire_scratch_;
-  bool wire_busy_ = false;
-  NodeUpProbe node_up_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_seq_ = 0;
-  Stats stats_;
   SocketStats socket_stats_;
-  bool stop_ = false;
   std::thread network_;
 };
 
