@@ -25,6 +25,10 @@ void Machine::register_sched_metrics(
     sink.counter("shard.handoff_fallbacks", s.handoff_fallbacks);
     sink.gauge("shard.shards", static_cast<double>(s.shards));
   });
+  reg.add_source("rt", [this](obs::MetricSink& sink) {
+    sink.counter("unknown_entry",
+                 unknown_entries_.load(std::memory_order_relaxed));
+  });
   reg.add_source("mem", [](obs::MetricSink& sink) {
     sink.counter("allocs", alloc::allocations());
     sink.counter("frees", alloc::deallocations());

@@ -158,6 +158,12 @@ class Machine {
     return kills_.load(std::memory_order_acquire);
   }
 
+  /// A delivered envelope named an entry id this binary never registered
+  /// (Runtime::deliver dropped it); published as rt.unknown_entry.
+  void count_unknown_entry() {
+    unknown_entries_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// Whether every PE shares one address space (Sim/Thread). Pointer
   /// passing, in-place migration, and restore_array assume it; the
   /// Runtime guards those paths with this.
@@ -230,14 +236,15 @@ class Machine {
   };
 
   /// Register the rt.sched (with the parking lot's stall counters),
-  /// rt.sched.shard and mem sources into `reg`, reading `sample` at
-  /// every snapshot.
+  /// rt.sched.shard, rt.unknown_entry and mem sources into `reg`, reading
+  /// `sample` at every snapshot.
   void register_sched_metrics(obs::MetricRegistry& reg,
                               std::function<SchedSample()> sample) const;
 
   net::Topology topo_;
   Runtime* rt_ = nullptr;
   std::atomic<std::uint64_t> kills_{0};  ///< PEs killed so far
+  std::atomic<std::uint64_t> unknown_entries_{0};
   obs::MetricRegistry metrics_;
   /// Quarantine backpressure; each backend init()s it with its dispatch.
   ParkingLot parking_;

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include "core/array_base.hpp"
-#include "core/registry.hpp"
 #include "core/runtime.hpp"
 #include "net/metrics.hpp"
 #include "util/assert.hpp"
@@ -259,9 +258,6 @@ void ProcessMachine::boot() {
     ctl_child[static_cast<std::size_t>(pe)] = sv[1];
   }
   forked_ = true;  // set pre-fork so every process inherits it
-  // Entries below this line number are inherited by every child; later
-  // first-uses gossip with the frames that need them (pack_frame).
-  boot_registry_count_ = Registry::instance().size();
   for (int pe = 1; pe < n; ++pe) {
     const pid_t pid = ::fork();
     MDO_CHECK_MSG(pid >= 0, "fork failed");
@@ -304,7 +300,7 @@ void ProcessMachine::boot() {
     ::close(ctl_child[static_cast<std::size_t>(pe)]);
   }
   setup_process(std::move(fds[0]));
-  // Every child reports in and proves its entry registry matches ours.
+  // Every child reports in before the setup traffic flows.
   for (int pe = 1; pe < n; ++pe) {
     std::uint32_t op = 0;
     Bytes payload;
@@ -312,13 +308,8 @@ void ProcessMachine::boot() {
                   "a child process died during bring-up");
     MDO_CHECK(op == kCtlHello);
     std::int32_t child_pe = 0;
-    std::uint64_t count = 0, hash = 0;
-    {
-      Pup p = Pup::unpacker(payload);
-      p | child_pe | count | hash;
-    }
+    unpack_object(payload, child_pe);
     MDO_CHECK(child_pe == pe);
-    check_fingerprint(static_cast<Pe>(pe), count, hash);
   }
   flush_setup();
 }
@@ -338,7 +329,7 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
         // application semantics).
         const Pe from = static_cast<Pe>(packet.src);
         Envelope env;
-        unpack_frame(packet.payload, env);
+        unpack_object(packet.payload, env);
         ScratchArena::local().give(std::move(packet.payload));
         enqueue(from, std::move(env));
       });
@@ -351,6 +342,7 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
     sink.counter("partial_writes", s.partial_writes);
     sink.counter("eintr_retries", s.eintr_retries);
     sink.counter("peer_disconnects", s.peer_disconnects);
+    sink.counter("bad_frames", s.bad_frames);
   });
   if (role_ == Role::kChild) {
     // The parent routes (and has counted) the buffered setup sends for
@@ -439,55 +431,13 @@ void ProcessMachine::dispatch(Envelope&& env) {
   packet.src = static_cast<net::NodeId>(self_pe_);
   packet.dst = static_cast<net::NodeId>(dst);
   packet.priority = env.priority;
-  packet.payload = pack_frame(env);
+  // The frame buffer leaves this thread: the network thread recycles it
+  // into its own arena. Drawing it from this thread's arena would drain
+  // that arena, so allocate it once, at its exact size.
+  packet.payload.reserve(pup_size(env));
+  Pup p = Pup::packer(packet.payload);
+  env.pup(p);
   fabric_->send(std::move(packet));
-}
-
-Bytes ProcessMachine::pack_frame(Envelope& env) const {
-  // [u32 n][n x (u64 invoker, string name)][envelope]: the registry tail
-  // beyond the fork point rides with every frame, because entry ids are
-  // registered at first *use* — a host-driven broadcast's entry exists
-  // only in the parent until gossip carries it out, and a frame must
-  // never outrun the registration it depends on (retransmission and
-  // fault-jitter reordering rule out a per-peer watermark). Invoker
-  // addresses are identical across a fork family, so the pointer itself
-  // is the portable identity. Overhead: a few hundred bytes per frame
-  // for a typical app's post-fork entries; pre-fork entries are free.
-  auto& reg = Registry::instance();
-  const std::size_t total = reg.size();
-  Bytes out;
-  Pup p = Pup::packer(out);
-  std::uint32_t n = static_cast<std::uint32_t>(total - boot_registry_count_);
-  p | n;
-  for (std::size_t i = boot_registry_count_; i < total; ++i) {
-    const EntryInfo& e = reg.entry(static_cast<EntryId>(i));
-    std::uint64_t invoker =
-        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(e.invoke));
-    std::string name = e.name;
-    p | invoker | name;
-  }
-  env.pup(p);
-  return out;
-}
-
-void ProcessMachine::unpack_frame(std::span<const std::byte> data,
-                                  Envelope& env) {
-  Pup p = Pup::unpacker(data);
-  std::uint32_t n = 0;
-  p | n;
-  auto& reg = Registry::instance();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint64_t invoker = 0;
-    std::string name;
-    p | invoker | name;
-    EntryInfo info;
-    info.name = std::move(name);
-    info.invoke = reinterpret_cast<void (*)(Chare&, std::span<const std::byte>)>(
-        static_cast<std::uintptr_t>(invoker));
-    reg.install(boot_registry_count_ + i, std::move(info));
-  }
-  env.pup(p);
-  MDO_CHECK_MSG(p.bytes_remaining() == 0, "trailing bytes after frame unpack");
 }
 
 void ProcessMachine::enqueue(Pe from, Envelope&& env) {
@@ -550,14 +500,8 @@ bool ProcessMachine::execute_one() {
 // -- control plane -----------------------------------------------------------
 
 void ProcessMachine::control_loop(int fd) {
-  {
-    Bytes hello;
-    Pup p = Pup::packer(hello);
-    std::int32_t pe = self_pe_;
-    std::uint64_t count = Registry::instance().size();
-    std::uint64_t hash = Registry::instance().fingerprint(count);
-    p | pe | count | hash;
-    if (!ctl_send(fd, kCtlHello, hello)) ::_exit(0);
+  if (!ctl_send(fd, kCtlHello, pack_object(std::int32_t{self_pe_}))) {
+    ::_exit(0);
   }
   while (true) {
     std::uint32_t op = 0;
@@ -667,8 +611,6 @@ ProcessMachine::CtlStatus ProcessMachine::local_status() {
   }
   s.stats = counters_.load();
   s.fstats = fabric_ ? fabric_->stats() : net::Fabric::Stats{};
-  s.reg_count = Registry::instance().size();
-  s.reg_hash = Registry::instance().fingerprint(s.reg_count);
   bool queue_empty = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -711,20 +653,6 @@ void ProcessMachine::broadcast(std::uint32_t op, const Bytes& payload) {
     }
     request(pe, op, payload);
   }
-}
-
-void ProcessMachine::check_fingerprint(Pe child, std::uint64_t count,
-                                       std::uint64_t hash) {
-  (void)child;
-  const std::uint64_t mine = Registry::instance().size();
-  // A child that registered entries the parent has not reached yet has
-  // no common prefix to compare; divergence would surface on a later
-  // wave once the parent catches up.
-  if (count > mine) return;
-  MDO_CHECK_MSG(
-      Registry::instance().fingerprint(static_cast<std::size_t>(count)) == hash,
-      "entry registry diverged across processes: entry methods must be "
-      "first-used in the same order in every process (SPMD)");
 }
 
 void ProcessMachine::handle_child_death(Pe pe) {
@@ -773,7 +701,6 @@ bool ProcessMachine::collect_wave(std::vector<std::uint64_t>& wave) {
     }
     CtlStatus s;
     unpack_object(*reply, s);
-    check_fingerprint(pe, s.reg_count, s.reg_hash);
     if (s.idle == 0) settled = false;
     cached_status_[i] = std::move(s);
   }

@@ -8,6 +8,13 @@
 // SIGKILL, so the heartbeat/FT stack is exercised against real process
 // death rather than a flag.
 //
+// A data frame's payload is the envelope's wire image and nothing else
+// (pack_object from the scratch arena, exactly as on Sim and Thread).
+// Entry ids are signature hashes registered before main (registry.hpp),
+// so every process built from the same source and compiler already has
+// the whole entry table; no registry state crosses the wire, and an id a
+// process does not know is dropped and counted, never called.
+//
 // Coordination runs on a small blocking control plane (one socketpair
 // per child, strict request/reply served by a dedicated thread in the
 // child): quiescence waves, stats/metrics/trace collection, element
@@ -161,11 +168,9 @@ class ProcessMachine final : public Machine {
     std::vector<std::uint64_t> sent_to, acct_from, undeliv_to;
     PeStats stats;
     net::Fabric::Stats fstats;
-    std::uint64_t reg_count = 0, reg_hash = 0;
     std::uint8_t idle = 0;
     void pup(Pup& p) {
-      p | sent_to | acct_from | undeliv_to | stats | fstats | reg_count |
-          reg_hash | idle;
+      p | sent_to | acct_from | undeliv_to | stats | fstats | idle;
     }
   };
   struct CtlBlob {
@@ -185,13 +190,6 @@ class ProcessMachine final : public Machine {
   void flush_setup();
   void route(Envelope&& env);
   void dispatch(Envelope&& env);  ///< route minus the sent_to count
-  /// Wire image of one envelope, prefixed with this process's post-boot
-  /// registry tail — entry ids are assigned lazily at first *use*, so an
-  /// entry first used after the fork (a host-driven broadcast, say)
-  /// exists only in the using process until its frames gossip it.
-  Bytes pack_frame(Envelope& env) const;
-  /// Install the frame's registry delta, then unpack the envelope.
-  void unpack_frame(std::span<const std::byte> data, Envelope& env);
   void enqueue(Pe from, Envelope&& env);
   bool execute_one();
 
@@ -206,7 +204,6 @@ class ProcessMachine final : public Machine {
   /// Parent-side request/reply; nullopt when the child is (now) dead.
   std::optional<Bytes> request(Pe child, std::uint32_t op,
                                const Bytes& payload);
-  void check_fingerprint(Pe child, std::uint64_t count, std::uint64_t hash);
 
   MachineOptions options_;
   net::GridLatencyModel model_;
@@ -222,9 +219,6 @@ class ProcessMachine final : public Machine {
   Role role_ = Role::kParent;
   Pe self_pe_ = 0;
   bool forked_ = false;
-  /// Registry::size() at fork time: entries below this are inherited by
-  /// every child; entries at or above travel as per-frame gossip.
-  std::size_t boot_registry_count_ = 0;
   std::chrono::steady_clock::time_point epoch_;
 
   std::vector<pid_t> pids_;           // parent: child pids (index = pe)

@@ -7,68 +7,16 @@ Registry& Registry::instance() {
   return registry;
 }
 
-EntryId Registry::add(EntryInfo info) {
-  MDO_CHECK(info.invoke != nullptr);
-  std::lock_guard<std::mutex> lock(mutex_);
-  // A peer process may have gossiped this entry (keyed by its invoker
-  // address — identical across a fork family) before our own code first
-  // used it: adopt the existing id so the whole family keeps one id
-  // space. The gossiped record already carries the real name.
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].invoke == info.invoke) return static_cast<EntryId>(i);
-  }
-  entries_.push_back(std::move(info));
-  published_.store(entries_.size(), std::memory_order_release);
-  return static_cast<EntryId>(entries_.size() - 1);
-}
-
-void Registry::install(std::size_t id, EntryInfo info) {
-  MDO_CHECK(info.invoke != nullptr);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id < entries_.size()) {
-    MDO_CHECK_MSG(
-        entries_[id].invoke == info.invoke,
-        "entry registry diverged across processes: entry methods must be "
-        "first-used in the same order in every process (SPMD)");
+void Registry::add(EntryId id, EntryInfo info) {
+  MDO_CHECK(id >= 0 && info.invoke != nullptr);
+  auto it = lower_bound(id);
+  if (it != entries_.end() && it->id == id) {
+    MDO_CHECK_MSG(it->info.name == info.name,
+                  "entry id collision: two entry-method signatures hash to "
+                  "one id");
     return;
   }
-  MDO_CHECK_MSG(id == entries_.size(),
-                "entry registry gap: a frame's registry delta skipped ids");
-  entries_.push_back(std::move(info));
-  published_.store(entries_.size(), std::memory_order_release);
-}
-
-const EntryInfo& Registry::entry(EntryId id) const {
-  // Lock-free fast path: ids below the published watermark are immutable
-  // (the deque never relocates entries and an id, once assigned, is
-  // never rewritten), so the acquire load alone makes the record safe to
-  // read. Every delivery goes through here — taking mutex_ would
-  // serialize all PEs on one lock.
-  if (id >= 0 && static_cast<std::size_t>(id) <
-                     published_.load(std::memory_order_acquire)) {
-    return entries_[static_cast<std::size_t>(id)];
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  MDO_CHECK(id >= 0 && static_cast<std::size_t>(id) < entries_.size());
-  return entries_[static_cast<std::size_t>(id)];
-}
-
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-std::uint64_t Registry::fingerprint(std::size_t count) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MDO_CHECK(count <= entries_.size());
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (std::size_t i = 0; i < count; ++i) {
-    for (char c : entries_[i].name) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  entries_.insert(it, Slot{id, info});
 }
 
 }  // namespace mdo::core

@@ -1,21 +1,27 @@
 #pragma once
-// Entry-method registry. Charm++ generates dispatch stubs with a source
-// translator; we achieve the same thing with templates: entry_id<&T::m>()
-// registers (once per process) a type-erased invoker that unmarshals the
-// method's parameter pack from a byte span and calls the member. Ids are
-// assigned by first-use order, so they agree across Sim/Thread backends
-// trivially (one address space) and across ProcessMachine's fork family
-// by construction: every child inherits the pre-fork registrations,
-// entries first used after the fork are gossiped with each wire frame
-// (install()), and the machine cross-checks per-process fingerprints on
-// its control plane to catch first-use-order divergence.
+// Entry-method registry. Charm++ gives every process the same
+// entry-method table before the program starts (its translator generates
+// it); we achieve the same thing with templates. An entry id is
+// content-addressed: entry_id<&T::m>() is a compile-time 31-bit FNV-1a
+// hash of the method's signature (detail::method_pretty_name). Naming it
+// anywhere in the program instantiates detail::kRegistered<&T::m>, an
+// inline variable whose initializer adds a type-erased invoker (unmarshal
+// the parameter pack, call the member) to the table during static
+// initialization. So every entry method in the binary is registered
+// before main, in whichever order, in every process that runs the binary:
+// Sim/Thread PEs, forked ProcessMachine children, or independently
+// launched processes built from the same source with the same compiler
+// all agree on every id without exchanging anything.
+//
+// After main the table is read-only: find() takes no lock and never
+// allocates. An id that arrives off the wire is only ever looked up,
+// never turned into a pointer; one this binary did not register is
+// dropped by the runtime (rt.unknown_entry). Two signatures that hash
+// to one id abort in add() — a program bug, caught before main.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <span>
-#include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
@@ -29,45 +35,40 @@ namespace mdo::core {
 class Chare;
 
 struct EntryInfo {
-  std::string name;
-  void (*invoke)(Chare& element, std::span<const std::byte> args) = nullptr;
+  using Invoker = void (*)(Chare& element, std::span<const std::byte> args);
+  std::string_view name;  ///< the signature the id hashes; static storage
+  Invoker invoke = nullptr;
 };
 
 class Registry {
  public:
   static Registry& instance();
 
-  EntryId add(EntryInfo info);
-  const EntryInfo& entry(EntryId id) const;
-  std::size_t size() const;
+  /// Static initialization only (detail::kRegistered). Adding the same
+  /// name again is a no-op; a different name under an existing id is a
+  /// hash collision and aborts.
+  void add(EntryId id, EntryInfo info);
 
-  /// Install an entry gossiped by a peer process at a specific id.
-  /// Ids are assigned by first-use order, so an entry first used in one
-  /// process (e.g. a host-driven broadcast registered only in the
-  /// parent) may reach a sibling inside a message before that sibling's
-  /// own code path registers it; ProcessMachine ships the post-boot
-  /// registry tail (name + invoker address, identical across a fork
-  /// family) with every frame and installs it here before dispatch.
-  /// An id already present must agree on the invoker — a mismatch is
-  /// SPMD divergence and aborts.
-  void install(std::size_t id, EntryInfo info);
+  /// The entry registered under `id`, or nullptr.
+  const EntryInfo* find(EntryId id) const {
+    auto it = lower_bound(id);
+    return it != entries_.end() && it->id == id ? &it->info : nullptr;
+  }
 
-  /// Order-sensitive FNV-1a hash over the names of the first `count`
-  /// entries. ProcessMachine compares fingerprints across its fork
-  /// family to catch entry-id divergence (ids are assigned by first-use
-  /// order, which SPMD execution must keep identical in every process).
-  std::uint64_t fingerprint(std::size_t count) const;
+  std::size_t size() const { return entries_.size(); }
 
  private:
-  // deque: growth never relocates entries, so the reference entry()
-  // hands out stays valid while other threads register (worker threads
-  // and the ProcessMachine control thread read concurrently). Writers
-  // serialize on mutex_ and publish the new size with a release store;
-  // entry() reads below published_ without the lock — the delivery hot
-  // path never serializes on a registry mutex.
-  mutable std::mutex mutex_;
-  std::deque<EntryInfo> entries_;
-  std::atomic<std::size_t> published_{0};
+  struct Slot {
+    EntryId id;
+    EntryInfo info;
+  };
+  std::vector<Slot>::const_iterator lower_bound(EntryId id) const {
+    return std::lower_bound(
+        entries_.begin(), entries_.end(), id,
+        [](const Slot& slot, EntryId key) { return slot.id < key; });
+  }
+
+  std::vector<Slot> entries_;  ///< sorted by id
 };
 
 namespace detail {
@@ -99,25 +100,51 @@ constexpr std::string_view method_pretty_name() {
   return __PRETTY_FUNCTION__;
 }
 
+/// 31-bit FNV-1a: non-negative, so never kInvalidEntry.
+constexpr EntryId signature_hash(std::string_view signature) {
+  std::uint32_t h = 2166136261u;
+  for (char c : signature) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 16777619u;
+  }
+  return static_cast<EntryId>(h & 0x7fffffffu);
+}
+
+/// A constexpr variable, so the hash is always folded at compile time
+/// (a constexpr function called at run time need not be).
+template <auto Method>
+inline constexpr EntryId kEntryId =
+    signature_hash(method_pretty_name<Method>());
+
+template <auto Method>
+void invoke_entry(Chare& element, std::span<const std::byte> bytes) {
+  using Traits = MemberFnTraits<decltype(Method)>;
+  auto args = unmarshal_into<typename Traits::ArgsTuple>(bytes);
+  auto& obj = static_cast<typename Traits::Class&>(element);
+  std::apply(
+      [&obj](auto&&... unpacked) { (obj.*Method)(std::move(unpacked)...); },
+      args);
+}
+
+template <auto Method>
+bool register_entry() {
+  Registry::instance().add(
+      kEntryId<Method>,
+      EntryInfo{method_pretty_name<Method>(), &invoke_entry<Method>});
+  return true;
+}
+
+/// Dynamic-initialized before main for every Method that entry_id names.
+template <auto Method>
+inline const bool kRegistered = register_entry<Method>();
+
 }  // namespace detail
 
-/// Process-wide id for a given entry method; registers it on first use.
+/// Stable id of an entry method: the hash of its signature.
 template <auto Method>
-EntryId entry_id() {
-  using Traits = detail::MemberFnTraits<decltype(Method)>;
-  using T = typename Traits::Class;
-  static const EntryId id = Registry::instance().add(EntryInfo{
-      std::string(detail::method_pretty_name<Method>()),
-      +[](Chare& element, std::span<const std::byte> bytes) {
-        auto args = detail::unmarshal_into<typename Traits::ArgsTuple>(bytes);
-        auto& obj = static_cast<T&>(element);
-        std::apply(
-            [&obj](auto&&... unpacked) {
-              (obj.*Method)(std::move(unpacked)...);
-            },
-            args);
-      }});
-  return id;
+constexpr EntryId entry_id() {
+  (void)&detail::kRegistered<Method>;  // odr-use: instantiate registration
+  return detail::kEntryId<Method>;
 }
 
 }  // namespace mdo::core

@@ -190,16 +190,28 @@ void Runtime::schedule_host(Pe pe, std::function<void()> fn, Priority priority) 
 
 sim::TimeNs Runtime::deliver(Envelope&& env) {
   MDO_CHECK_MSG(!t_exec.active, "nested delivery on one PE");
+  // The entry id came off the wire: look it up once, here, before any
+  // forward or fan-out, and never call an id this binary did not register.
+  EntryInfo::Invoker invoke = nullptr;
+  if (env.kind == MsgKind::kEntry || env.kind == MsgKind::kBroadcast ||
+      env.kind == MsgKind::kMulticast) {
+    const EntryInfo* info = Registry::instance().find(env.entry);
+    if (info == nullptr) {
+      machine_->count_unknown_entry();
+      return 0;
+    }
+    invoke = info->invoke;
+  }
   t_exec = ExecContext{true, 0, nullptr};
   switch (env.kind) {
     case MsgKind::kEntry:
-      deliver_entry(env);
+      deliver_entry(env, invoke);
       break;
     case MsgKind::kBroadcast:
-      deliver_broadcast(env);
+      deliver_broadcast(env, invoke);
       break;
     case MsgKind::kMulticast:
-      deliver_multicast(env);
+      deliver_multicast(env, invoke);
       break;
     case MsgKind::kReduction:
       deliver_reduction(env);
@@ -219,15 +231,15 @@ sim::TimeNs Runtime::deliver(Envelope&& env) {
   return charged;
 }
 
-void Runtime::invoke_on(Chare& element, EntryId entry,
+void Runtime::invoke_on(Chare& element, EntryInfo::Invoker invoke,
                         std::span<const std::byte> args) {
   Chare* prev = t_exec.element;
   t_exec.element = &element;
-  Registry::instance().entry(entry).invoke(element, args);
+  invoke(element, args);
   t_exec.element = prev;
 }
 
-void Runtime::deliver_entry(Envelope& env) {
+void Runtime::deliver_entry(Envelope& env, EntryInfo::Invoker invoke) {
   ArrayBase& arr = *rec(env.array).array;
   MDO_CHECK_MSG(arr.contains(env.index), "entry message for unknown element");
   Pe where = arr.location(env.index);
@@ -238,10 +250,10 @@ void Runtime::deliver_entry(Envelope& env) {
     post(std::move(fwd));
     return;
   }
-  invoke_on(*arr.find(env.index), env.entry, env.payload);
+  invoke_on(*arr.find(env.index), invoke, env.payload);
 }
 
-void Runtime::deliver_broadcast(Envelope& env) {
+void Runtime::deliver_broadcast(Envelope& env, EntryInfo::Invoker invoke) {
   if ((env.flags & Envelope::kFlagFanout) == 0) {
     MDO_CHECK(current_pe() == tree_.root());
     env.flags |= Envelope::kFlagFanout;
@@ -259,14 +271,14 @@ void Runtime::deliver_broadcast(Envelope& env) {
   ArrayBase& arr = *rec(env.array).array;
   std::uint64_t delivered = 0;
   arr.for_each_on(current_pe(), [&](const Index&, Chare& element) {
-    invoke_on(element, env.entry, env.payload);
+    invoke_on(element, invoke, env.payload);
     ++delivered;
   });
   bcast_batches_.fetch_add(1, std::memory_order_relaxed);
   bcast_elems_.fetch_add(delivered, std::memory_order_relaxed);
 }
 
-void Runtime::deliver_multicast(Envelope& env) {
+void Runtime::deliver_multicast(Envelope& env, EntryInfo::Invoker invoke) {
   std::vector<Index> targets;
   Bytes args;
   {
@@ -279,7 +291,7 @@ void Runtime::deliver_multicast(Envelope& env) {
   for (const Index& index : targets) {
     MDO_CHECK_MSG(arr.contains(index), "multicast target does not exist");
     if (arr.location(index) == current_pe()) {
-      invoke_on(*arr.find(index), env.entry, args);
+      invoke_on(*arr.find(index), invoke, args);
     } else {
       // Relay hop (cluster root) or a migrated element: forward, still
       // bundled per destination PE so the payload ships once per PE.

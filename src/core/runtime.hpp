@@ -132,6 +132,8 @@ class Runtime {
   // -- machine upcall -------------------------------------------------------
   /// Execute one delivered envelope on current_pe(); returns the virtual
   /// compute the handler charged. Called only by Machine implementations.
+  /// An entry id this binary never registered is dropped and counted
+  /// (rt.unknown_entry) before any fan-out; nothing is called.
   sim::TimeNs deliver(Envelope&& env);
 
  private:
@@ -157,15 +159,17 @@ class Runtime {
     bool meta_known = false;
   };
 
-  // delivery handlers per MsgKind
-  void deliver_entry(Envelope& env);
-  void deliver_broadcast(Envelope& env);
-  void deliver_multicast(Envelope& env);
+  // delivery handlers per MsgKind; entry-carrying kinds get the invoker
+  // deliver() resolved from env.entry
+  void deliver_entry(Envelope& env, EntryInfo::Invoker invoke);
+  void deliver_broadcast(Envelope& env, EntryInfo::Invoker invoke);
+  void deliver_multicast(Envelope& env, EntryInfo::Invoker invoke);
   void deliver_reduction(Envelope& env);
   void deliver_host_call(Envelope& env);
   void deliver_migrate(Envelope& env);
 
-  void invoke_on(Chare& element, EntryId entry, std::span<const std::byte> args);
+  void invoke_on(Chare& element, EntryInfo::Invoker invoke,
+                 std::span<const std::byte> args);
   void post(Envelope&& env);  ///< stamp seq/sent_at/src and hand to machine
 
   // reductions

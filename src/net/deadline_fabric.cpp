@@ -47,7 +47,8 @@ bool DeadlineFabric::host_node_up(NodeId node) const {
 }
 
 DeadlineFabric::DeliverFn DeadlineFabric::handler_for(NodeId dst) const {
-  // A SocketFabric frame's dst comes off the wire: bounds-check it.
+  // SocketFabric drops off-wire frames addressed elsewhere before the
+  // receive chain, so a bad dst here is a routing bug.
   MDO_CHECK(dst >= 0 && static_cast<std::size_t>(dst) < handlers_.size());
   const DeliverFn& handler = handlers_[static_cast<std::size_t>(dst)];
   MDO_CHECK_MSG(static_cast<bool>(handler), "no delivery handler registered");

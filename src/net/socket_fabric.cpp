@@ -38,6 +38,7 @@ std::array<std::byte, FrameDecoder::kHeaderBytes> FrameDecoder::encode_header(
 }
 
 void FrameDecoder::feed(std::span<const std::byte> data) {
+  if (bad_) return;
   // Compact consumed prefix before growing; keeps the buffer bounded by
   // one partial frame plus the latest read chunk.
   if (pos_ > 0 && pos_ == buf_.size()) {
@@ -60,9 +61,12 @@ std::optional<Packet> FrameDecoder::next() {
   std::uint32_t payload_len = 0;
   get(magic, 0);
   get(payload_len, 4);
-  MDO_CHECK_MSG(magic == kMagic, "socket frame: bad magic");
-  MDO_CHECK_MSG(payload_len <= kMaxPayloadBytes,
-                "socket frame: absurd payload length");
+  if (magic != kMagic || payload_len > kMaxPayloadBytes) {
+    bad_ = true;
+    buf_.clear();
+    pos_ = 0;
+    return std::nullopt;
+  }
   if (buffered() < kHeaderBytes + payload_len) return std::nullopt;
 
   Packet packet;
@@ -244,8 +248,19 @@ void SocketFabric::read_peer(std::size_t index, Lock& lock) {
     }
     peer.decoder.feed({buf.data(), static_cast<std::size_t>(n)});
     while (auto frame = peer.decoder.next()) {
+      if (frame->dst != self_ || frame->src < 0 ||
+          static_cast<std::size_t>(frame->src) >= peers_.size()) {
+        ++socket_stats_.bad_frames;  // framing intact: drop just this one
+        ScratchArena::local().give(std::move(frame->payload));
+        continue;
+      }
       deliver_complete(std::move(*frame), lock);
       if (peer.fd < 0) return;  // handler raced a shutdown
+    }
+    if (peer.decoder.bad()) {
+      ++socket_stats_.bad_frames;
+      link_down(peer);
+      return;
     }
     if (static_cast<std::size_t>(n) < buf.size()) break;  // drained
   }

@@ -41,9 +41,10 @@ namespace mdo::net {
 /// complete frame at a time. A frame truncated by a peer dying mid-write
 /// is *contained*: next() simply keeps returning nullopt and mid_frame()
 /// reports the dangling prefix so the fabric can count it when the
-/// connection closes. Malformed magic or an absurd length MDO_CHECKs —
-/// the mesh is a trusted fork family, so corruption here is a bug, not
-/// input.
+/// connection closes. A header with bad magic or an absurd length is
+/// wire input, not a bug: the decoder turns bad() — a byte stream cannot
+/// resynchronise, so it drops what it holds and ignores further input —
+/// and the fabric counts the frame and closes that peer.
 class FrameDecoder {
  public:
   static constexpr std::uint32_t kMagic = 0x4D444F46u;  // "MDOF"
@@ -63,8 +64,11 @@ class FrameDecoder {
   void feed(std::span<const std::byte> data);
 
   /// Extract the next complete frame, or nullopt if more bytes are
-  /// needed.
+  /// needed or the stream is bad().
   std::optional<Packet> next();
+
+  /// A header was rejected; the stream is unusable from here on.
+  bool bad() const { return bad_; }
 
   /// Bytes held, including any partial frame.
   std::size_t buffered() const { return buf_.size() - pos_; }
@@ -75,6 +79,7 @@ class FrameDecoder {
  private:
   Bytes buf_;
   std::size_t pos_ = 0;
+  bool bad_ = false;
 };
 
 class SocketFabric final : public DeadlineFabric {
@@ -87,6 +92,9 @@ class SocketFabric final : public DeadlineFabric {
     std::uint64_t partial_writes = 0;    ///< short writes resumed later
     std::uint64_t eintr_retries = 0;     ///< syscalls retried after EINTR
     std::uint64_t peer_disconnects = 0;  ///< sockets closed by peer death
+    /// Inbound frames rejected: a bad header (the peer is closed) or a
+    /// src/dst naming no valid peer/this node (only the frame is dropped).
+    std::uint64_t bad_frames = 0;
   };
 
   /// `peer_fds[j]` is a connected non-blocking stream socket to node j,

@@ -200,3 +200,48 @@ TEST(BackendParity, MetricRegistrySourcesPublishTheSameKeys) {
 }
 
 }  // namespace
+
+TEST(BackendParity, UnknownEntryIdIsDroppedAndCountedNeverCalled) {
+  // An entry id is a hash of a method signature; an envelope naming an id
+  // this binary never registered must be dropped where the runtime first
+  // reads it — counted in rt.unknown_entry, never called, no abort — and
+  // the run must still reach quiescence with the send count balanced.
+  // The id travels through the wire image on Process, so cross-PE sends
+  // exercise the receiving child's check.
+  core::EntryId bogus = 1;
+  while (core::Registry::instance().find(bogus) != nullptr) ++bogus;
+  for (grid::Backend b : kBackends) {
+    const std::size_t pes = 4;
+    grid::Scenario s = grid::Scenario::artificial(pes, sim::milliseconds(2.0));
+    core::MachineOptions opts;
+    opts.emulate_charge = false;
+    Runtime rt(grid::make_machine(s, b, opts));
+    auto proxy = rt.create_array<Summer>(
+        "sum", core::indices_1d(pes), core::block_map_1d(pes, pes),
+        [](const Index&) { return std::make_unique<Summer>(); });
+    double sum = 0.0;
+    auto client = proxy.reduction_client(
+        [&](const std::vector<double>& d) { sum = d.at(0); });
+    for (std::size_t i = 0; i < pes; ++i)
+      proxy.local(Index(static_cast<std::int32_t>(i)))->client = client;
+
+    const std::uint64_t kSends = 2 * pes;
+    for (std::uint64_t i = 0; i < kSends; ++i) {
+      rt.send_entry(proxy.id(), Index(static_cast<std::int32_t>(i % pes)),
+                    bogus, 0, Bytes{});
+    }
+    rt.broadcast_entry(proxy.id(), bogus, 0, Bytes{});  // dropped at root
+    rt.run();
+    // Known entries keep working after the drops.
+    proxy.broadcast<&Summer::go>();
+    rt.run();
+
+    auto snap = rt.machine().metrics().snapshot();
+    EXPECT_EQ(snap.counter("rt.unknown_entry"), kSends + 1) << backend_name(b);
+    EXPECT_EQ(snap.counter("rt.sched.msgs_sent"),
+              snap.counter("rt.sched.msgs_executed") +
+                  snap.counter("rt.sched.msgs_dropped"))
+        << backend_name(b);
+    EXPECT_DOUBLE_EQ(sum, 1.0 + 2.0 + 3.0 + 4.0) << backend_name(b);
+  }
+}

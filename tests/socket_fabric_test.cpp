@@ -1,6 +1,7 @@
 // SocketFabric edge cases at the byte level: frame reassembly from
-// arbitrary partial reads, short writes across frame boundaries, and
-// containment of frames truncated by a peer dying mid-write. These run
+// arbitrary partial reads, short writes across frame boundaries,
+// containment of frames truncated by a peer dying mid-write, and
+// rejection (counted, never an abort) of malformed wire input. These run
 // two fabrics inside one test process over socketpair(2) — the transport
 // neither knows nor cares that both ends share an address space, which
 // is exactly the property that makes the framing TCP-ready.
@@ -19,6 +20,7 @@
 #include "net/latency_model.hpp"
 #include "net/socket_fabric.hpp"
 #include "net/topology.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -135,6 +137,105 @@ TEST(FrameDecoder, TruncatedFrameStaysPendingAndIsReported) {
   EXPECT_FALSE(dec.next().has_value());
   EXPECT_TRUE(dec.mid_frame());
   EXPECT_EQ(dec.buffered(), wire.size() / 2);
+}
+
+/// Reference parse of a byte stream: how many whole frames it holds and
+/// whether a header is rejected (bad magic or absurd length) after them.
+struct StreamVerdict {
+  int frames = 0;
+  bool bad = false;
+};
+StreamVerdict reference_parse(const Bytes& wire) {
+  StreamVerdict v;
+  std::size_t pos = 0;
+  while (wire.size() - pos >= FrameDecoder::kHeaderBytes) {
+    std::uint32_t magic = 0, len = 0;
+    std::memcpy(&magic, wire.data() + pos, 4);
+    std::memcpy(&len, wire.data() + pos + 4, 4);
+    if (magic != FrameDecoder::kMagic ||
+        len > FrameDecoder::kMaxPayloadBytes) {
+      v.bad = true;
+      break;
+    }
+    if (wire.size() - pos - FrameDecoder::kHeaderBytes < len) break;
+    pos += FrameDecoder::kHeaderBytes + len;
+    ++v.frames;
+  }
+  return v;
+}
+
+TEST(FrameDecoder, GarbageHeaderTurnsTheStreamBadWithoutAborting) {
+  Bytes wire = wire_image(make_packet(0, 1, 16, 0x12));
+  wire[0] ^= std::byte{0x01};  // bad magic
+  FrameDecoder dec;
+  dec.feed(wire);
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_TRUE(dec.bad());
+  EXPECT_FALSE(dec.mid_frame()) << "a rejected stream holds nothing";
+  // A byte stream cannot resynchronise: later valid frames are ignored.
+  dec.feed(wire_image(make_packet(0, 1, 16, 0x13)));
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_EQ(dec.buffered(), 0u);
+
+  Bytes huge = wire_image(make_packet(0, 1, 0, 0));
+  const std::uint32_t absurd = FrameDecoder::kMaxPayloadBytes + 1;
+  std::memcpy(huge.data() + 4, &absurd, 4);
+  FrameDecoder dec2;
+  dec2.feed(huge);
+  EXPECT_FALSE(dec2.next().has_value());
+  EXPECT_TRUE(dec2.bad());
+}
+
+TEST(FrameDecoder, SeededFuzzNeverAbortsAndCountsEveryRejectedHeader) {
+  // Random, truncated and bit-flipped headers in random chunkings. The
+  // decoder must never abort, must yield exactly the frames a reference
+  // parse finds, and must reject exactly the streams whose next header
+  // has bad magic or an absurd length (a flipped length bit can end a
+  // frame early and expose a second, garbage header). Labeled `process`,
+  // so the sanitizer preset runs it under ASan/UBSan.
+  SplitMix64 rng(0xF022u);
+  std::uint64_t want_rejected = 0, rejected = 0, decoded = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    Bytes wire;
+    const auto mode = rng.bounded(3);
+    if (mode == 0) {  // random header + random tail
+      wire.resize(FrameDecoder::kHeaderBytes + rng.bounded(64));
+      for (auto& b : wire) b = static_cast<std::byte>(rng.next_u64());
+    } else {
+      wire = wire_image(make_packet(
+          static_cast<net::NodeId>(rng.bounded(4)),
+          static_cast<net::NodeId>(rng.bounded(4)), rng.bounded(96),
+          static_cast<std::uint8_t>(iter)));
+      if (mode == 1) {  // truncated anywhere, header included
+        wire.resize(rng.bounded(wire.size()));
+      } else {  // one to three bit flips inside the header
+        for (std::uint64_t f = 1 + rng.bounded(3); f > 0; --f) {
+          const auto bit = rng.bounded(FrameDecoder::kHeaderBytes * 8);
+          wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+        }
+      }
+    }
+    const StreamVerdict want = reference_parse(wire);
+    if (want.bad) ++want_rejected;
+
+    FrameDecoder dec;
+    std::size_t fed = 0;
+    int frames = 0;
+    while (fed < wire.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.bounded(48), wire.size() - fed);
+      dec.feed({wire.data() + fed, n});
+      fed += n;
+      while (auto f = dec.next()) ++frames;
+    }
+    if (dec.bad()) ++rejected;
+    decoded += static_cast<std::uint64_t>(frames);
+    ASSERT_EQ(dec.bad(), want.bad) << "iter=" << iter;
+    ASSERT_EQ(frames, want.frames) << "iter=" << iter;
+  }
+  EXPECT_EQ(rejected, want_rejected);
+  EXPECT_GT(want_rejected, 1000u);  // the fuzz exercises rejection...
+  EXPECT_GT(decoded, 500u);         // ...and still decodes what is valid
 }
 
 // ---------------------------------------------------------------------------
@@ -287,6 +388,97 @@ TEST(SocketFabric, PeerDeathMidFrameIsContained) {
   ASSERT_EQ(at1.got.size(), 1u) << "the truncated frame must never surface";
 
   fab.shutdown();
+}
+
+/// Writes all of `wire` to a non-blocking raw fd.
+void write_all_raw(int fd, const Bytes& wire) {
+  std::size_t done = 0;
+  while (done < wire.size()) {
+    ssize_t w = ::write(fd, wire.data() + done, wire.size() - done);
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    ASSERT_GT(w, 0) << std::strerror(errno);
+    done += static_cast<std::size_t>(w);
+  }
+}
+
+/// Polls the fabric's socket counters until `pred` holds (or ~2 s pass).
+template <class Pred>
+net::SocketFabric::SocketStats wait_stats(const net::SocketFabric& fab,
+                                          Pred pred) {
+  for (int i = 0; i < 1000; ++i) {
+    auto ss = fab.socket_stats();
+    if (pred(ss)) return ss;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return fab.socket_stats();
+}
+
+TEST(SocketFabric, GarbageHeaderClosesOnlyThatPeerAndIsCounted) {
+  // Node 2 listens to two raw peers. Peer 0 writes a garbage header: the
+  // fabric must count one bad frame and close that peer (the stream
+  // cannot resynchronise) — no abort — while frames from peer 1 keep
+  // arriving before and after.
+  net::Topology topo = net::Topology::single_cluster(3);
+  net::FixedLatencyModel model(sim::microseconds(1.0));
+  auto [fab0, raw0] = make_stream_pair();
+  auto [fab1, raw1] = make_stream_pair();
+  auto epoch = net::SocketFabric::Clock::now();
+  net::SocketFabric fab(&topo, &model, net::Chain{}, 2, {fab0, fab1, -1},
+                        epoch);
+  Collector at2;
+  fab.set_delivery_handler(2, at2.handler());
+  fab.start();
+
+  write_all_raw(raw1, wire_image(make_packet(1, 2, 40, 0x01)));
+  Bytes garbage = wire_image(make_packet(0, 2, 40, 0x02));
+  for (std::size_t i = 0; i < 8; ++i) garbage[i] = std::byte{0xEE};
+  write_all_raw(raw0, garbage);
+  auto ss = wait_stats(fab, [](const auto& s) { return s.bad_frames >= 1; });
+  EXPECT_EQ(ss.bad_frames, 1u);
+  EXPECT_EQ(ss.peer_disconnects, 1u);
+  EXPECT_EQ(ss.truncated_frames, 0u);
+
+  write_all_raw(raw1, wire_image(make_packet(1, 2, 40, 0x03)));
+  ASSERT_TRUE(at2.wait_for_count(2, std::chrono::seconds(10)));
+  EXPECT_EQ(at2.got[0].payload, make_payload(40, 0x01));
+  EXPECT_EQ(at2.got[1].payload, make_payload(40, 0x03));
+  EXPECT_EQ(fab.socket_stats().bad_frames, 1u);
+
+  fab.shutdown();
+  ::close(raw0);
+  ::close(raw1);
+}
+
+TEST(SocketFabric, MisaddressedFrameIsDroppedAloneAndCounted) {
+  // A well-framed frame whose dst is not this node (or whose src names
+  // no node) is dropped on its own: the stream stays in sync, so the
+  // next frame from the same peer is delivered.
+  net::Topology topo = net::Topology::two_cluster(2);
+  net::FixedLatencyModel model(sim::microseconds(1.0));
+  auto [fd_fabric, fd_raw] = make_stream_pair();
+  auto epoch = net::SocketFabric::Clock::now();
+  net::SocketFabric fab(&topo, &model, net::Chain{}, 1, {fd_fabric, -1},
+                        epoch);
+  Collector at1;
+  fab.set_delivery_handler(1, at1.handler());
+  fab.start();
+
+  write_all_raw(fd_raw, wire_image(make_packet(0, 0, 24, 0x10)));   // dst
+  write_all_raw(fd_raw, wire_image(make_packet(0, 77, 24, 0x11)));  // dst
+  write_all_raw(fd_raw, wire_image(make_packet(-3, 1, 24, 0x12)));  // src
+  write_all_raw(fd_raw, wire_image(make_packet(0, 1, 24, 0x13)));
+  ASSERT_TRUE(at1.wait_for_count(1, std::chrono::seconds(10)));
+  auto ss = wait_stats(fab, [](const auto& s) { return s.bad_frames >= 3; });
+  EXPECT_EQ(ss.bad_frames, 3u);
+  EXPECT_EQ(ss.peer_disconnects, 0u);
+  ASSERT_EQ(at1.got.size(), 1u);
+  EXPECT_EQ(at1.got[0].payload, make_payload(24, 0x13));
+
+  fab.shutdown();
+  ::close(fd_raw);
 }
 
 TEST(SocketFabric, SendToDownedPeerCountsLinkDownDropsNotCrashes) {
