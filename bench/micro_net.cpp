@@ -78,7 +78,7 @@ BENCHMARK(BM_RleCompress)->Arg(4096)->Arg(65536);
 void BM_ChecksumDevice(benchmark::State& state) {
   Bytes in = random_bytes(static_cast<std::size_t>(state.range(0)), 9);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::ChecksumDevice::fnv1a(in));
+    benchmark::DoNotOptimize(net::ChecksumDevice::digest(in));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }

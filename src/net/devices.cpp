@@ -1,5 +1,6 @@
 #include "net/devices.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "util/assert.hpp"
@@ -173,19 +174,47 @@ std::optional<Packet> CompressionDevice::receive_transform(Packet packet) {
 
 // -- ChecksumDevice -----------------------------------------------------
 
-std::uint64_t ChecksumDevice::fnv1a(std::span<const std::byte> data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
+namespace {
+
+// One absorb step: an xor, a multiply by an odd constant and a rotate,
+// each a bijection of h, and the xor with the multiply injective in v.
+// The rotate feeds the product's high bits back into the low ones, so
+// a difference left in bit 63 does not pass through untouched and
+// cancel against a second top-bit flip further along the frame.
+std::uint64_t absorb(std::uint64_t h, std::uint64_t v) {
+  return std::rotl((h ^ v) * 0x9e3779b97f4a7c15ULL, 29);
+}
+
+// murmur3's fmix64: a bijective 64-bit avalanche.
+std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
+}  // namespace
+
+std::uint64_t ChecksumDevice::digest(std::span<const std::byte> data) {
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ data.size();
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= sizeof(std::uint64_t); n -= sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    h = absorb(h, w);
+    p += sizeof(w);
+  }
+  for (; n > 0; --n) h = absorb(h, static_cast<std::uint64_t>(*p++));
+  return fmix64(h);
+}
+
 void ChecksumDevice::on_send(Packet& packet, SendContext&) {
-  std::uint64_t digest = fnv1a(packet.payload);
-  const auto* p = reinterpret_cast<const std::byte*>(&digest);
-  packet.payload.insert(packet.payload.end(), p, p + sizeof(digest));
+  const std::uint64_t sum = digest(packet.payload);
+  const auto* p = reinterpret_cast<const std::byte*>(&sum);
+  packet.payload.insert(packet.payload.end(), p, p + sizeof(sum));
 }
 
 std::optional<Packet> ChecksumDevice::receive_transform(Packet packet) {
@@ -201,7 +230,7 @@ std::optional<Packet> ChecksumDevice::receive_transform(Packet packet) {
               packet.payload.data() + packet.payload.size() - sizeof(stored),
               sizeof(stored));
   std::uint64_t computed =
-      fnv1a({packet.payload.data(), packet.payload.size() - sizeof(stored)});
+      digest({packet.payload.data(), packet.payload.size() - sizeof(stored)});
   if (stored != computed) {
     if (drop_on_mismatch_) {
       ++corrupt_dropped_;

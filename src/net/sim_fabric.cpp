@@ -88,16 +88,14 @@ void SimFabric::transmit(std::vector<Packet>& wire, const SendContext& ctx) {
     frame.hold_ns = 0;
     sim::TimeNs net_delay = model_->delivery_delay(
         frame.src, frame.dst, frame.payload.size(), enter_net);
-    Packet moved = std::move(frame);
+    const std::uint32_t slot = in_flight_.put(std::move(frame));
     engine_->schedule_at(enter_net + net_delay,
-                         [this, p = std::move(moved)]() mutable {
-                           arrive(std::move(p));
-                         });
+                         [this, slot] { arrive(slot); });
   }
 }
 
-void SimFabric::arrive(Packet&& packet) {
-  deliver(chain_.apply_receive(std::move(packet)));
+void SimFabric::arrive(std::uint32_t slot) {
+  deliver(chain_.apply_receive(in_flight_.take(slot)));
 }
 
 void SimFabric::inject_receive(const FilterDevice* from, Packet&& packet) {

@@ -6,12 +6,16 @@
 // sits above the network device). Implements DeviceHost so protocol
 // devices in the chain (the reliability device) can pace retransmission
 // timers on virtual time and inject acks/retransmissions mid-chain.
+// Frames on the wire wait in a fabric-owned slot pool; the arrival event
+// captures only the slot index, so it fits std::function's inline
+// storage and a warm wire frame costs no heap allocation.
 
 #include <vector>
 
 #include "net/fabric.hpp"
 #include "net/latency_model.hpp"
 #include "sim/engine.hpp"
+#include "util/slot_pool.hpp"
 
 namespace mdo::net {
 
@@ -47,7 +51,7 @@ class SimFabric final : public Fabric, public DeviceHost {
   void transmit(std::vector<Packet>& wire, const SendContext& ctx);
   void send_through(const FilterDevice* below, Packet&& packet,
                     SendContext& ctx);
-  void arrive(Packet&& packet);
+  void arrive(std::uint32_t slot);
   void deliver(std::optional<Packet>&& complete);
 
   sim::Engine* engine_;
@@ -59,6 +63,8 @@ class SimFabric final : public Fabric, public DeviceHost {
   /// a chain transform, which falls back to a local vector.
   std::vector<Packet> wire_scratch_;
   bool wire_busy_ = false;
+  /// Frames between transmit and arrival, indexed by their event's slot.
+  SlotPool<Packet> in_flight_;
   NodeUpProbe node_up_;
   std::uint64_t next_id_ = 1;
   Stats stats_;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -8,19 +9,20 @@ namespace mdo::sim {
 
 void Engine::schedule_at(TimeNs t, Callback fn) {
   MDO_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  heap_.push_back(Key{t, next_seq_++, slots_.put(std::move(fn))});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Engine::step() {
-  if (stopped_ || queue_.empty()) return false;
-  // priority_queue::top() is const; the callback must be moved out before
-  // pop, so copy the header fields and steal the function.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  MDO_ASSERT(ev.time >= now_);
-  now_ = ev.time;
+  if (stopped_ || heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  Callback fn = slots_.take(key.slot);
+  MDO_ASSERT(key.time >= now_);
+  now_ = key.time;
   ++processed_;
-  ev.fn();
+  fn();
   return true;
 }
 
@@ -31,7 +33,7 @@ void Engine::run() {
 
 void Engine::run_until(TimeNs t) {
   MDO_CHECK(t >= now_);
-  while (!stopped_ && !queue_.empty() && queue_.top().time <= t) {
+  while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
     step();
   }
   if (!stopped_) now_ = t;
@@ -42,7 +44,8 @@ void Engine::reset() {
   next_seq_ = 0;
   processed_ = 0;
   stopped_ = false;
-  while (!queue_.empty()) queue_.pop();
+  heap_.clear();
+  slots_.clear();
 }
 
 }  // namespace mdo::sim

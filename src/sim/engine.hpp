@@ -6,13 +6,21 @@
 // callbacks here, and the engine executes them in nondecreasing virtual
 // time. Ties are broken by insertion sequence, which makes every run
 // fully deterministic — a FIFO among same-time events.
+//
+// The heap holds 24-byte keys {time, seq, slot}; each callback lives in
+// a SlotPool, its slots recycled through a free list. Sifting
+// moves only the keys, and a warm engine schedules without allocating
+// whenever the callback fits std::function's inline storage. step()
+// moves the callback out and frees its slot before calling it, so a
+// callback may schedule more events (and reuse that slot), and its
+// captures are released as soon as it returns.
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/slot_pool.hpp"
 
 namespace mdo::sim {
 
@@ -44,21 +52,23 @@ class Engine {
   bool stopped() const { return stopped_; }
   void clear_stop() { stopped_ = false; }
 
-  bool empty() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
+  /// Callback slots ever allocated: the high-water mark of pending().
+  std::size_t slot_capacity() const { return slots_.capacity(); }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Drop all pending events and reset the clock (for test reuse).
   void reset();
 
  private:
-  struct Event {
+  struct Key {
     TimeNs time;
     std::uint64_t seq;
-    Callback fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -68,7 +78,8 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Key> heap_;  ///< min-heap on (time, seq) under Later
+  SlotPool<Callback> slots_;
 };
 
 }  // namespace mdo::sim

@@ -238,6 +238,81 @@ TEST(ChecksumTest, DropModeDiscardsCorruptFramesSilently) {
   EXPECT_EQ(dev->packets_verified(), 1u);
 }
 
+/// A deterministic, position- and length-dependent payload.
+std::string digest_body(std::size_t len) {
+  std::string body(len, '\0');
+  for (std::size_t i = 0; i < len; ++i)
+    body[i] = static_cast<char>(i * 37 + len * 11 + 5);
+  return body;
+}
+
+TEST(ChecksumTest, DropModeCatchesEverySingleByteFlip) {
+  // Each digest step is a bijection of the state and injective in its
+  // word (or tail byte), so no flip confined to one byte can survive.
+  // Sweep whole words and ragged tails, every byte of the frame (payload
+  // and digest), all 255 masks on short frames and a spread beyond.
+  Chain chain;
+  auto* dev =
+      chain.add(std::make_unique<ChecksumDevice>(/*drop_on_mismatch=*/true));
+  std::vector<unsigned> all_masks;
+  for (unsigned m = 1; m <= 255; ++m) all_masks.push_back(m);
+  const std::vector<unsigned> some_masks = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                            0x20, 0x40, 0x80, 0xff, 0x81,
+                                            0x5a, 0xa5, 0x3c};
+  std::uint64_t flips = 0;
+  for (std::size_t len = 0; len <= 72; ++len) {
+    SendContext ctx;
+    auto frames = wire_frames(chain, make_packet(0, 1, digest_body(len)), ctx);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(frames[0].payload.size(), len + sizeof(std::uint64_t));
+    const auto& masks = len <= 24 ? all_masks : some_masks;
+    for (std::size_t pos = 0; pos < frames[0].payload.size(); ++pos) {
+      for (unsigned mask : masks) {
+        Packet tampered = frames[0];
+        tampered.payload[pos] ^= static_cast<std::byte>(mask);
+        ASSERT_FALSE(chain.apply_receive(std::move(tampered)).has_value())
+            << "len " << len << " byte " << pos << " mask " << mask;
+        ++flips;
+      }
+    }
+    ASSERT_TRUE(chain.apply_receive(std::move(frames[0])).has_value());
+  }
+  EXPECT_EQ(dev->corrupt_dropped(), flips);
+  EXPECT_EQ(dev->packets_verified(), 73u);
+}
+
+TEST(ChecksumTest, TopBitFlipsInTwoBytesDoNotCancel) {
+  // Without the rotate in each step, a difference in bit 63 of the state
+  // would pass through every later xor-multiply unchanged, so flipping
+  // the top bit of two words' last bytes would cancel. Every pair of
+  // 0x80 flips over a 64-byte payload must change the digest.
+  Bytes body(64);
+  for (std::size_t i = 0; i < body.size(); ++i)
+    body[i] = static_cast<std::byte>(i * 13 + 1);
+  const std::uint64_t clean = ChecksumDevice::digest(body);
+  for (std::size_t a = 0; a < body.size(); ++a) {
+    for (std::size_t b = a + 1; b < body.size(); ++b) {
+      Bytes flipped = body;
+      flipped[a] ^= std::byte{0x80};
+      flipped[b] ^= std::byte{0x80};
+      ASSERT_NE(ChecksumDevice::digest(flipped), clean)
+          << "bytes " << a << " and " << b;
+    }
+  }
+}
+
+TEST(ChecksumTest, AppendingAZeroByteChangesTheDigest) {
+  for (std::size_t len = 0; len <= 72; ++len) {
+    const std::string body = digest_body(len);
+    Bytes shorter(len);
+    if (len > 0) std::memcpy(shorter.data(), body.data(), len);
+    Bytes longer = shorter;
+    longer.push_back(std::byte{0});
+    EXPECT_NE(ChecksumDevice::digest(shorter), ChecksumDevice::digest(longer))
+        << "len " << len;
+  }
+}
+
 TEST(CryptoTest, RoundtripAndCiphertextDiffers) {
   Chain chain;
   chain.add(std::make_unique<CryptoDevice>(0xfeedULL));

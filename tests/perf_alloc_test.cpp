@@ -11,10 +11,13 @@
 //   2. A warm device-chain traversal (delay + compression + checksum +
 //      crypto) allocates nothing when driven through the out-parameter
 //      Chain overloads with arena-backed payloads.
+//   3. A warm cross-PE delivery on SimMachine allocates nothing: the
+//      frame waits in SimFabric's in-flight slot pool, its arrival event
+//      captures only the slot index (inside std::function's inline
+//      storage), and the engine recycles its callback slots.
 //
-// Out of scope by design (documented in ISSUE/EXPERIMENTS): SimFabric's
-// transmit lambda (captures a Packet, exceeds SBO) and striping
-// reassembly map nodes.
+// Out of scope by design: striping reassembly, which keeps one std::map
+// node per partially received message.
 
 #include <gtest/gtest.h>
 
@@ -87,6 +90,46 @@ TEST(PerfAlloc, WarmLocalDeliveryIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "warm self-send chain allocated " << allocs
                         << " times over 513 deliveries";
   EXPECT_EQ(proxy.local(Index(0))->received, 3 * 513);
+}
+
+struct Pong : Chare {
+  std::int64_t received = 0;
+  void hit(int hops) {
+    ++received;
+    if (hops > 0)
+      runtime().proxy<Pong>(array_id()).send<&Pong::hit>(
+          Index(1 - index().x), hops - 1);
+  }
+  void pup(Pup& p) override {
+    Chare::pup(p);
+    p | received;
+  }
+};
+
+TEST(PerfAlloc, WarmCrossPeSimDeliveryIsAllocationFree) {
+  // Two PEs in different clusters, no devices in the chain: every hop
+  // crosses SimFabric as a wire frame.
+  net::GridLatencyModel::Config cfg;
+  Runtime rt(std::make_unique<SimMachine>(net::Topology::two_cluster(2), cfg));
+  auto proxy = rt.create_array<Pong>(
+      "pong", core::indices_1d(2), core::block_map_1d(2, 2),
+      [](const Index&) { return std::make_unique<Pong>(); });
+  ASSERT_FALSE(rt.machine().topology().same_cluster(0, 1));
+
+  proxy.send<&Pong::hit>(Index(0), 512);
+  rt.run();
+  proxy.send<&Pong::hit>(Index(0), 512);
+  rt.run();
+
+  alloc::AllocationCounter counter;
+  proxy.send<&Pong::hit>(Index(0), 512);
+  rt.run();
+  const std::uint64_t allocs = counter.delta();
+
+  EXPECT_EQ(allocs, 0u) << "warm cross-PE ping-pong allocated " << allocs
+                        << " times over 513 deliveries";
+  EXPECT_EQ(proxy.local(Index(0))->received + proxy.local(Index(1))->received,
+            3 * 513);
 }
 
 TEST(PerfAlloc, WarmDeviceChainTraversalIsAllocationFree) {
