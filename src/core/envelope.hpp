@@ -58,4 +58,17 @@ struct Envelope {
   static constexpr std::size_t kHeaderBytes = 48;
 };
 
+/// Pack `env` into a frame buffer allocated once, at its exact wire size.
+/// For frames that leave the sending thread (Thread and Process): another
+/// thread recycles the buffer into its own arena, so drawing it from the
+/// sender's arena would drain that arena and regrow an empty vector on
+/// every pack.
+inline Bytes pack_frame(const Envelope& env) {
+  Bytes out;
+  out.reserve(pup_size(env));
+  Pup p = Pup::packer(out);
+  const_cast<Envelope&>(env).pup(p);  // packing never mutates
+  return out;
+}
+
 }  // namespace mdo::core

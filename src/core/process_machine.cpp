@@ -431,12 +431,7 @@ void ProcessMachine::dispatch(Envelope&& env) {
   packet.src = static_cast<net::NodeId>(self_pe_);
   packet.dst = static_cast<net::NodeId>(dst);
   packet.priority = env.priority;
-  // The frame buffer leaves this thread: the network thread recycles it
-  // into its own arena. Drawing it from this thread's arena would drain
-  // that arena, so allocate it once, at its exact size.
-  packet.payload.reserve(pup_size(env));
-  Pup p = Pup::packer(packet.payload);
-  env.pup(p);
+  packet.payload = pack_frame(env);
   fabric_->send(std::move(packet));
 }
 

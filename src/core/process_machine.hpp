@@ -9,7 +9,9 @@
 // death rather than a flag.
 //
 // A data frame's payload is the envelope's wire image and nothing else
-// (pack_object from the scratch arena, exactly as on Sim and Thread).
+// (pack_frame, at its exact size, as on Thread). The sending PE thread
+// writes it to the destination's socket at once; the receiving process's
+// SocketFabric holds it until its modeled deadline.
 // Entry ids are signature hashes registered before main (registry.hpp),
 // so every process built from the same source and compiler already has
 // the whole entry table; no registry state crosses the wire, and an id a
@@ -82,6 +84,9 @@ class ProcessMachine final : public Machine {
   /// processes learn of the death twice, deliberately: immediately via a
   /// control broadcast (routing squash, like the other backends), and
   /// organically via heartbeat silence (what the FT stack reacts to).
+  /// Frames the victim already wrote to a socket are still delivered at
+  /// their deadlines, as on Sim, where a dead node's frames are squashed
+  /// only at send time.
   void kill_pe(Pe pe) override;
 
   /// Transport counters of this process's socket fabric (tests).

@@ -42,9 +42,9 @@ ThreadMachine::ThreadMachine(net::Topology topo,
         static_cast<net::NodeId>(node), [this, node](net::Packet&& packet) {
           Envelope env;
           unpack_object(packet.payload, env);
-          // The packed bytes came from the sender thread's arena; giving
-          // them to the receiving thread's arena keeps both sides warm
-          // (ThreadFabric delivers on the destination's path).
+          // The frame buffer was packed at its exact size on the sending
+          // PE; recycling it here keeps the dispatcher thread's arena,
+          // which the receive chain draws from, warm.
           ScratchArena::local().give(std::move(packet.payload));
           enqueue(static_cast<Pe>(node), std::move(env));
         });
@@ -164,7 +164,7 @@ void ThreadMachine::route(Envelope&& env) {
   packet.src = static_cast<net::NodeId>(env.src_pe);
   packet.dst = static_cast<net::NodeId>(env.dst_pe);
   packet.priority = env.priority;
-  packet.payload = pack_object(env);
+  packet.payload = pack_frame(env);
   fabric_->send(std::move(packet));
 }
 

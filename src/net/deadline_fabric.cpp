@@ -65,8 +65,16 @@ void DeadlineFabric::note_deadline(Clock::time_point due) {
 void DeadlineFabric::signal_if_earlier() {
   if (!earlier_) return;
   earlier_ = false;
+  wake();
+}
+
+void DeadlineFabric::wake() {
   ++stats_.wake_signals;
   signal();
+}
+
+void DeadlineFabric::hold_arrival(Packet&& frame, sim::TimeNs deadline) {
+  pending_.push(Timed{at(deadline), next_seq_++, std::move(frame)});
 }
 
 void DeadlineFabric::enqueue_frames(std::vector<Packet>& wire,
@@ -85,8 +93,8 @@ void DeadlineFabric::enqueue_frames(std::vector<Packet>& wire,
     frame.hold_ns = 0;
     sim::TimeNs net_delay = model_->delivery_delay(
         frame.src, frame.dst, frame.payload.size(), enter_net);
-    Clock::time_point due =
-        epoch_ + std::chrono::nanoseconds(enter_net + net_delay);
+    if (transmit(frame, enter_net + net_delay)) continue;
+    const Clock::time_point due = at(enter_net + net_delay);
     note_deadline(due);
     pending_.push(Timed{due, next_seq_++, std::move(frame)});
   }
@@ -196,7 +204,7 @@ std::optional<DeadlineFabric::Clock::time_point> DeadlineFabric::run_due(
     } else {
       Timed item = std::move(const_cast<Timed&>(pending_.top()));
       pending_.pop();
-      on_due_frame(std::move(item.packet), lock);
+      deliver_complete(std::move(item.packet), lock);
     }
   }
   return std::nullopt;

@@ -1,18 +1,22 @@
 #pragma once
 // Wall-clock deadline queue shared by ThreadFabric and SocketFabric. It
-// owns the device chain, a frame heap (wire frames held until their
-// modeled delivery deadline: delay-device hold + fault jitter + network
-// delay) and a timer heap (DeviceHost::host_schedule), runs sends and
+// owns the device chain, a frame heap (frames held until their modeled
+// delivery deadline: delay-device hold + fault jitter + network delay)
+// and a timer heap (DeviceHost::host_schedule), runs sends and
 // injections down the chain, and keeps the Fabric::Stats counters. A
-// concrete fabric adds only its thread loop, what it does with a due
-// frame, and its way of waking that thread.
+// concrete fabric adds only its thread loop, its way of waking that
+// thread, and optionally a transport that takes frames at send time
+// (transmit) and holds arrivals at the receiver (hold_arrival). Every
+// due frame runs up the receive chain to the delivery handler.
 //
 // Wake rule: a send, injection or timer signals the fabric thread only
 // when it becomes the new earliest deadline across both heaps (counted
-// in Stats::wake_signals). The check runs under the fabric mutex, and the
-// thread recomputes its sleep deadline from the heap heads under that
-// mutex before every wait, so a later deadline is picked up when the
-// thread next wakes and no wake-up is lost. shutdown always signals.
+// in Stats::wake_signals); a frame the transport takes never enters the
+// heaps and wakes nothing unless the transport asks. The check runs under
+// the fabric mutex, and the thread recomputes its sleep deadline from
+// the heap heads under that mutex before every wait, so a later deadline
+// is picked up when the thread next wakes and no wake-up is lost.
+// shutdown always signals.
 //
 // Timer slack: the fabric thread calls use_exact_timer_slack() when it
 // starts, so its timed waits end at the modeled deadline instead of up
@@ -66,21 +70,32 @@ class DeadlineFabric : public Fabric, public DeviceHost {
 
   /// Wake the fabric thread (mutex held).
   virtual void signal() = 0;
-  /// A frame's deadline elapsed (mutex held; may unlock to deliver).
-  virtual void on_due_frame(Packet&& packet, Lock& lock) = 0;
+  /// A wire frame left the send chain with its deadline fixed (ns on the
+  /// epoch; mutex held). Return true when the transport took the frame
+  /// (it may move from it); false keeps it in this fabric's frame heap,
+  /// delivered at the deadline. The default keeps every frame.
+  virtual bool transmit(Packet& /*frame*/, sim::TimeNs /*deadline*/) {
+    return false;
+  }
+
+  /// Signal the fabric thread and count it in Stats::wake_signals (mutex
+  /// held).
+  void wake();
+  /// Hold a frame that arrived from the transport until `deadline` (ns on
+  /// the epoch), then deliver it. Called by the fabric thread itself with
+  /// the mutex held, so it never signals: the thread recomputes its sleep
+  /// from the heap heads before it next waits.
+  void hold_arrival(Packet&& frame, sim::TimeNs deadline);
 
   /// Set the stop flag and signal the thread. False if already stopped.
   bool request_stop();
   /// Lower the calling thread's timer slack to 1 ns (Linux only).
   static void use_exact_timer_slack();
-  /// Run due timers (mutex held: they mutate chain state) and due frames
-  /// in deadline order, timers first on a tie. Returns the next deadline,
-  /// or nullopt when both heaps are empty or the fabric stopped.
+  /// Run due timers (mutex held: they mutate chain state) and deliver
+  /// due frames in (deadline, seq) order, timers first on a tie. Returns
+  /// the next deadline, or nullopt when both heaps are empty or the
+  /// fabric stopped.
   std::optional<Clock::time_point> run_due(Lock& lock);
-  /// Run the receive chain and call the delivery handler outside the
-  /// lock: it enqueues into a mailbox that takes its own lock and may
-  /// race with a concurrent send().
-  void deliver_complete(Packet&& packet, Lock& lock);
 
   mutable std::recursive_mutex mutex_;
   bool stop_ = false;
@@ -104,6 +119,9 @@ class DeadlineFabric : public Fabric, public DeviceHost {
     }
   };
 
+  Clock::time_point at(sim::TimeNs t) const {
+    return epoch_ + std::chrono::nanoseconds(t);
+  }
   sim::TimeNs now_ns() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                 epoch_)
@@ -112,6 +130,10 @@ class DeadlineFabric : public Fabric, public DeviceHost {
   /// The registered handler for `dst` (mutex held); a copy, so it can be
   /// called after the lock is released.
   DeliverFn handler_for(NodeId dst) const;
+  /// Run the receive chain and call the delivery handler outside the
+  /// lock: it enqueues into a mailbox that takes its own lock and may
+  /// race with a concurrent send().
+  void deliver_complete(Packet&& packet, Lock& lock);
   /// Whether `due` would be the new head across both heaps; if so the
   /// current operation signals the thread when it finishes.
   void note_deadline(Clock::time_point due);

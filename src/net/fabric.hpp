@@ -57,7 +57,9 @@ class Fabric {
                                         ///< counts once)
     std::uint64_t wan_wire_frames = 0;  ///< of those, cross-cluster
     std::uint64_t wake_signals = 0;     ///< times a send, injection or timer
-                                        ///< woke the fabric thread (0 on Sim)
+                                        ///< woke the fabric thread (0 on
+                                        ///< Sim; on SocketFabric a remote
+                                        ///< frame wakes it only on backlog)
   };
   virtual Stats stats() const = 0;
 };

@@ -16,7 +16,7 @@ namespace mdo::net {
 // -- FrameDecoder --------------------------------------------------------
 
 std::array<std::byte, FrameDecoder::kHeaderBytes> FrameDecoder::encode_header(
-    const Packet& packet) {
+    const Packet& packet, sim::TimeNs deadline) {
   std::array<std::byte, kHeaderBytes> out{};
   std::size_t pos = 0;
   auto put = [&](const auto& value) {
@@ -33,6 +33,7 @@ std::array<std::byte, FrameDecoder::kHeaderBytes> FrameDecoder::encode_header(
   put(static_cast<std::int32_t>(packet.priority));
   put(static_cast<std::uint64_t>(packet.id));
   put(static_cast<std::int64_t>(packet.inject_time));
+  put(static_cast<std::int64_t>(deadline));
   MDO_CHECK(pos == kHeaderBytes);
   return out;
 }
@@ -51,7 +52,7 @@ void FrameDecoder::feed(std::span<const std::byte> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-std::optional<Packet> FrameDecoder::next() {
+std::optional<Packet> FrameDecoder::next(sim::TimeNs* deadline) {
   if (buffered() < kHeaderBytes) return std::nullopt;
   const std::byte* base = buf_.data() + pos_;
   auto get = [&](auto& value, std::size_t offset) {
@@ -78,6 +79,11 @@ std::optional<Packet> FrameDecoder::next() {
   get(priority, 16);
   get(id, 20);
   get(inject_time, 28);
+  if (deadline != nullptr) {
+    std::int64_t due = 0;
+    get(due, 36);
+    *deadline = due;
+  }
   packet.src = src;
   packet.dst = dst;
   packet.priority = priority;
@@ -147,23 +153,28 @@ void SocketFabric::set_delivery_handler(NodeId node, DeliverFn handler) {
   DeadlineFabric::set_delivery_handler(node, std::move(handler));
 }
 
-void SocketFabric::on_due_frame(Packet&& packet, Lock& lock) {
-  if (packet.dst == self_) {
-    // Loopback traffic travels through the same deadline queue as remote
-    // traffic (delay devices apply), then straight up the receive chain.
-    deliver_complete(std::move(packet), lock);
-    return;
-  }
+bool SocketFabric::transmit(Packet& packet, sim::TimeNs deadline) {
+  // Loopback traffic waits in this process's deadline heap (delay
+  // devices apply), then goes straight up the receive chain.
+  if (packet.dst == self_) return false;
   Peer& peer = peers_[static_cast<std::size_t>(packet.dst)];
   if (peer.fd < 0 || peer.down) {
     ++socket_stats_.link_down_drops;
     ScratchArena::local().give(std::move(packet.payload));
-    return;
+    return true;
   }
-  OutFrame frame;
-  frame.header = FrameDecoder::encode_header(packet);
+  const bool idle = peer.out.empty();
+  OutFrame& frame = peer.out.emplace_back();
+  frame.header = FrameDecoder::encode_header(packet, deadline);
   frame.payload = std::move(packet.payload);
-  peer.out.push_back(std::move(frame));
+  // A backlog means the network thread already polls POLLOUT for this
+  // peer; it drains the ring in order. Otherwise write now, and wake the
+  // thread only if the kernel left part of the ring unwritten.
+  if (idle) {
+    flush_peer(peer);
+    if (!peer.out.empty()) wake();
+  }
+  return true;
 }
 
 void SocketFabric::link_down(Peer& peer) {
@@ -247,15 +258,20 @@ void SocketFabric::read_peer(std::size_t index, Lock& lock) {
       return;
     }
     peer.decoder.feed({buf.data(), static_cast<std::size_t>(n)});
-    while (auto frame = peer.decoder.next()) {
+    sim::TimeNs deadline = 0;
+    while (auto frame = peer.decoder.next(&deadline)) {
       if (frame->dst != self_ || frame->src < 0 ||
-          static_cast<std::size_t>(frame->src) >= peers_.size()) {
+          static_cast<std::size_t>(frame->src) >= peers_.size() ||
+          deadline < 0 || deadline > FrameDecoder::kMaxDeadline) {
         ++socket_stats_.bad_frames;  // framing intact: drop just this one
         ScratchArena::local().give(std::move(frame->payload));
         continue;
       }
-      deliver_complete(std::move(*frame), lock);
-      if (peer.fd < 0) return;  // handler raced a shutdown
+      hold_arrival(std::move(*frame), deadline);
+      // Deliver whatever is due before decoding on, so a burst's frame
+      // buffers cycle through this thread's arena one at a time.
+      run_due(lock);
+      if (peer.fd < 0) return;  // closed while the lock was released
     }
     if (peer.decoder.bad()) {
       ++socket_stats_.bad_frames;
@@ -273,11 +289,12 @@ void SocketFabric::network_loop() {
   std::vector<std::size_t> fd_peer;
   while (!stop_) {
     // 1. Run everything that is due: timers with the mutex held (they
-    //    mutate chain state), frames into rings or local delivery.
+    //    mutate chain state), then frames up the receive chain.
     const std::optional<Clock::time_point> next_due = run_due(lock);
     if (stop_) return;
 
-    // 2. Drain send rings as far as the kernel accepts.
+    // 2. Drain the backlogs that senders left, as far as the kernel
+    //    accepts.
     for (auto& peer : peers_) {
       if (!peer.out.empty()) flush_peer(peer);
     }

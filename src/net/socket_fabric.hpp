@@ -2,27 +2,45 @@
 // Multi-process fabric: each ProcessMachine PE owns one SocketFabric that
 // talks to its peers over connected stream sockets (Unix-domain today; the
 // framing is TCP-ready length-prefixed frames, so swapping the transport
-// is a connect() change, not a protocol change). A single non-blocking
-// network thread per process owns every socket: it holds outgoing frames
-// until their modeled delivery deadline (delay-device hold + fault jitter
-// + latency-model delay) elapses in wall-clock time, then serializes them
-// into per-peer send rings drained by writev; inbound bytes are
-// reassembled by an incremental FrameDecoder and run up the receive
-// chain. The deadline queue and DeviceHost services (wall-clock timers,
-// ack/retransmission injection) are DeadlineFabric's, shared with
-// ThreadFabric, with one addition: this fabric hosts exactly one
-// process-local node, reported via host_local_node(), so node-scoped
-// devices (heartbeat) stop impersonating remote peers.
+// is a connect() change, not a protocol change). The deadline queue and
+// DeviceHost services (wall-clock timers, ack/retransmission injection)
+// are DeadlineFabric's, shared with ThreadFabric, with one addition: this
+// fabric hosts exactly one process-local node, reported via
+// host_local_node(), so node-scoped devices (heartbeat) stop
+// impersonating remote peers.
+//
+// The modeled delay is held on the receiving side. A remote frame goes
+// on the wire at send time: the sending thread computes its deadline
+// (delay-device hold + fault jitter + latency-model delay), writes it
+// into the frame header, appends the frame to the peer's send ring and
+// flushes the ring with non-blocking sendmsg, all under the fabric mutex
+// it already holds. Only a short write or EAGAIN leaves a backlog, and
+// only then is the network thread woken to poll POLLOUT. On the
+// receiving side an incremental FrameDecoder reassembles inbound bytes,
+// and each frame waits in the deadline heap, ordered by (deadline,
+// arrival), until its deadline; then it runs up the receive chain. Frames
+// from one sender therefore come out in deadline order, ties in send
+// order, and the modeled delay overlaps the real socket transit and the
+// receiver's wake-up. Loopback frames (dst == self) and timers are held
+// in this process's heaps as on ThreadFabric.
 //
 // The network thread sleeps in ppoll until the earliest deadline or a
-// socket event. A sender writes the wake pipe only when it brings that
-// deadline forward, and the thread runs with 1 ns timer slack, so ppoll
-// returns at the modeled deadline, never before it.
+// socket event, with 1 ns timer slack, so it delivers at the modeled
+// deadline, never before it.
+//
+// The deadline crosses the wire as an absolute time on the epoch the
+// forking machine shares with every process of the mesh (inject_time
+// depends on that epoch too). A transport between hosts, which share no
+// clock, must send the remaining delay instead.
+//
+// A frame already written when its sender dies (SIGKILL) is delivered
+// at its deadline, as on SimFabric, which squashes a dead node's frames
+// only at send time.
 //
 // The frame payload is the machine's envelope wire image, untouched: the
-// fabric prepends a fixed header and hands ByteWriter the already-packed
-// payload bytes, so the PayloadBuf zero-copy path on the send side is
-// preserved up to the socket write.
+// fabric prepends a fixed header and hands the payload bytes moved from
+// the packet to sendmsg, so the send side copies nothing up to the
+// socket write.
 
 #include <array>
 #include <deque>
@@ -48,24 +66,35 @@ namespace mdo::net {
 class FrameDecoder {
  public:
   static constexpr std::uint32_t kMagic = 0x4D444F46u;  // "MDOF"
-  /// magic + payload_len + src + dst + priority + id + inject_time.
-  static constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 4 + 4 + 8 + 8;
+  /// magic + payload_len + src + dst + priority + id + inject_time +
+  /// deadline, each in host byte order:
+  ///
+  ///   offset  0  u32 magic        4  u32 payload_len   8  i32 src
+  ///          12  i32 dst         16  i32 priority     20  u64 id
+  ///          28  i64 inject_time 36  i64 deadline (ns on the mesh epoch)
+  static constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8;
   /// Upper bound on a single frame payload; a corrupt length can never
   /// turn into a multi-gigabyte allocation.
   static constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
+  /// Upper bound on a header deadline (~146 years past the epoch). A
+  /// larger or negative deadline is corrupt, and adding it to the epoch
+  /// could overflow, so the receiving fabric drops that frame.
+  static constexpr sim::TimeNs kMaxDeadline = sim::TimeNs{1} << 62;
 
   /// Serialize the fixed header for `packet` (payload bytes follow on
-  /// the wire verbatim). hold_ns is consumed by the sending fabric and
-  /// never crosses the wire.
+  /// the wire verbatim). `deadline` is when the receiver may deliver it;
+  /// 0, the epoch itself, means on arrival. hold_ns is consumed by the
+  /// sending fabric and never crosses the wire.
   static std::array<std::byte, kHeaderBytes> encode_header(
-      const Packet& packet);
+      const Packet& packet, sim::TimeNs deadline = 0);
 
   /// Append raw stream bytes.
   void feed(std::span<const std::byte> data);
 
   /// Extract the next complete frame, or nullopt if more bytes are
-  /// needed or the stream is bad().
-  std::optional<Packet> next();
+  /// needed or the stream is bad(). Stores the frame's header deadline
+  /// in `*deadline` when given.
+  std::optional<Packet> next(sim::TimeNs* deadline = nullptr);
 
   /// A header was rejected; the stream is unusable from here on.
   bool bad() const { return bad_; }
@@ -92,8 +121,9 @@ class SocketFabric final : public DeadlineFabric {
     std::uint64_t partial_writes = 0;    ///< short writes resumed later
     std::uint64_t eintr_retries = 0;     ///< syscalls retried after EINTR
     std::uint64_t peer_disconnects = 0;  ///< sockets closed by peer death
-    /// Inbound frames rejected: a bad header (the peer is closed) or a
-    /// src/dst naming no valid peer/this node (only the frame is dropped).
+    /// Inbound frames rejected: a bad header (the peer is closed), or a
+    /// src/dst naming no valid peer/this node or a deadline out of range
+    /// (only the frame is dropped).
     std::uint64_t bad_frames = 0;
   };
 
@@ -142,13 +172,15 @@ class SocketFabric final : public DeadlineFabric {
 
   /// Write one byte to the wake pipe (mutex held).
   void signal() override;
-  /// A frame's deadline elapsed: loop back (dst == self) or serialize
-  /// into the peer's send ring (mutex held; may unlock for delivery).
-  void on_due_frame(Packet&& packet, Lock& lock) override;
-  /// Drain a peer's send ring with non-blocking writev (mutex held).
+  /// Serialize a remote frame with its deadline into the peer's send
+  /// ring and flush it on the calling thread; loopback frames stay in
+  /// the deadline heap (mutex held).
+  bool transmit(Packet& packet, sim::TimeNs deadline) override;
+  /// Drain a peer's send ring with non-blocking sendmsg (mutex held).
   void flush_peer(Peer& peer);
-  /// Drain readable bytes from a peer and deliver completed frames
-  /// (mutex held; unlocks around the delivery handler).
+  /// Drain readable bytes from a peer and hold each completed frame
+  /// until its deadline (mutex held; unlocks around delivery of the
+  /// frames already due).
   void read_peer(std::size_t index, Lock& lock);
   void link_down(Peer& peer);
   void network_loop();

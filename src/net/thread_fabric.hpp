@@ -30,9 +30,6 @@ class ThreadFabric final : public DeadlineFabric {
 
  private:
   void signal() override { cv_.notify_one(); }
-  void on_due_frame(Packet&& packet, Lock& lock) override {
-    deliver_complete(std::move(packet), lock);
-  }
   void dispatcher_loop();
 
   std::condition_variable_any cv_;

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -476,6 +477,42 @@ TEST(SocketFabric, MisaddressedFrameIsDroppedAloneAndCounted) {
   EXPECT_EQ(ss.peer_disconnects, 0u);
   ASSERT_EQ(at1.got.size(), 1u);
   EXPECT_EQ(at1.got[0].payload, make_payload(24, 0x13));
+
+  fab.shutdown();
+  ::close(fd_raw);
+}
+
+TEST(SocketFabric, OutOfRangeDeadlineIsDroppedAloneAndCounted) {
+  // A header deadline no sender produces (before the epoch, or so far
+  // past it that the receiver's clock arithmetic would overflow) is
+  // corrupt input: that frame alone is dropped and counted, and the next
+  // frame from the same peer is delivered.
+  net::Topology topo = net::Topology::two_cluster(2);
+  net::FixedLatencyModel model(sim::microseconds(1.0));
+  auto [fd_fabric, fd_raw] = make_stream_pair();
+  auto epoch = net::SocketFabric::Clock::now();
+  net::SocketFabric fab(&topo, &model, net::Chain{}, 1, {fd_fabric, -1},
+                        epoch);
+  Collector at1;
+  fab.set_delivery_handler(1, at1.handler());
+  fab.start();
+
+  for (const sim::TimeNs deadline :
+       {sim::TimeNs{-1}, FrameDecoder::kMaxDeadline + 1,
+        std::numeric_limits<sim::TimeNs>::max()}) {
+    Packet p = make_packet(0, 1, 24, 0x20);
+    auto header = FrameDecoder::encode_header(p, deadline);
+    Bytes wire(header.begin(), header.end());
+    wire.insert(wire.end(), p.payload.begin(), p.payload.end());
+    write_all_raw(fd_raw, wire);
+  }
+  write_all_raw(fd_raw, wire_image(make_packet(0, 1, 24, 0x21)));
+  ASSERT_TRUE(at1.wait_for_count(1, std::chrono::seconds(10)));
+  auto ss = wait_stats(fab, [](const auto& s) { return s.bad_frames >= 3; });
+  EXPECT_EQ(ss.bad_frames, 3u);
+  EXPECT_EQ(ss.peer_disconnects, 0u);
+  ASSERT_EQ(at1.got.size(), 1u);
+  EXPECT_EQ(at1.got[0].payload, make_payload(24, 0x21));
 
   fab.shutdown();
   ::close(fd_raw);
