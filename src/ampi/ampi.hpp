@@ -146,7 +146,6 @@ class RankChare final : public core::Chare {
 
   void block_until(const std::function<bool()>& ready);
   std::optional<std::size_t> find_match(int src, int tag) const;
-  bool try_complete_irecv(Request::State& state);
 
   const World* world_ = nullptr;
   int rank_ = -1;

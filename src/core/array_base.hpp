@@ -96,16 +96,6 @@ class ArrayBase {
 
   const std::vector<Index>& all_indices() const { return order_; }
 
-  std::vector<Index> indices_on(Pe pe) const {
-    MDO_CHECK(pe >= 0 && static_cast<std::size_t>(pe) < shards_.size());
-    const Shard& shard = shards_[static_cast<std::size_t>(pe)];
-    ensure_sorted(shard);
-    std::vector<Index> out;
-    out.reserve(shard.elems.size());
-    for (const LocalElem& e : shard.elems) out.push_back(e.index);
-    return out;
-  }
-
   /// Deliver-side iteration over one PE's partition in deterministic
   /// (sorted-index) order, without copying the index list or re-looking
   /// up each element. `fn(index, element)` must not insert or extract.
@@ -123,8 +113,6 @@ class ArrayBase {
     MDO_CHECK(pe >= 0 && static_cast<std::size_t>(pe) < shards_.size());
     return shards_[static_cast<std::size_t>(pe)].elems.size();
   }
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// Iterate (index, element, pe) without exposing the map type.
   template <class Fn>

@@ -34,7 +34,10 @@ struct Envelope {
   EntryId entry = kInvalidEntry;
   Priority priority = 0;
   std::uint8_t flags = 0;  ///< kFlagFanout: broadcast is past the tree root
-  std::uint64_t seq = 0;   ///< machine-assigned, for stable FIFO tiebreaks
+  /// Stamped by Runtime::post; no machine reads it (run queues are FIFO
+  /// within a priority by arrival). Kept because it is packed on the
+  /// wire: dropping it would change frame bytes and Sim virtual time.
+  std::uint64_t seq = 0;
   sim::TimeNs sent_at = 0;
   /// Ref-counted and immutable once sealed: copying an envelope (local
   /// delivery, broadcast fan-out, device-chain pass-through) shares one

@@ -1,9 +1,35 @@
 #include "core/machine.hpp"
 
+#include <thread>
+
+#include "core/runtime.hpp"
+#include "core/trace_rings.hpp"
 #include "util/alloc_count.hpp"
 #include "util/buffer.hpp"
 
 namespace mdo::core {
+
+void Machine::execute_timed(Envelope&& env, Pe pe, bool emulate_charge,
+                            PeCounters& counters, TraceRings& traces) {
+  // Captured before the move: the trace event needs the provenance.
+  TraceEvent ev{pe, 0, 0, env.src_pe, env.entry, env.kind};
+  const auto t0 = std::chrono::steady_clock::now();
+  const sim::TimeNs charged = rt_->deliver(std::move(env));
+  if (emulate_charge && charged > 0) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(charged));
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const auto ns = [](std::chrono::steady_clock::duration d) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+  };
+  if (traces.enabled()) {
+    ev.begin = ns(t0 - epoch_);
+    ev.end = ns(t1 - epoch_);
+    traces.record(static_cast<std::size_t>(pe), ev);
+  }
+  counters.busy_ns.fetch_add(ns(t1 - t0), std::memory_order_relaxed);
+  counters.executed.fetch_add(1, std::memory_order_relaxed);
+}
 
 void Machine::register_sched_metrics(
     obs::MetricRegistry& reg, std::function<SchedSample()> sample) const {

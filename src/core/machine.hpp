@@ -10,6 +10,7 @@
 // idle hook, and the scheduler/memory metric sources.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -28,6 +29,7 @@
 namespace mdo::core {
 
 class Runtime;
+class TraceRings;
 
 /// Backend-independent machine tuning, shared by every real-time backend
 /// (ThreadMachine and ProcessMachine; SimMachine charges virtual time and
@@ -241,7 +243,22 @@ class Machine {
   void register_sched_metrics(obs::MetricRegistry& reg,
                               std::function<SchedSample()> sample) const;
 
+  /// The wall-clock backends' clock (Thread, Process): ns since epoch_.
+  sim::TimeNs wall_ns() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
+
+  /// The wall-clock backends' run step: deliver `env` on `pe`, sleep off
+  /// its charged time when `emulate_charge`, record the interval into
+  /// `traces` ring `pe`, and count the busy time and the execution.
+  void execute_timed(Envelope&& env, Pe pe, bool emulate_charge,
+                     PeCounters& counters, TraceRings& traces);
+
   net::Topology topo_;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
   Runtime* rt_ = nullptr;
   std::atomic<std::uint64_t> kills_{0};  ///< PEs killed so far
   std::atomic<std::uint64_t> unknown_entries_{0};

@@ -121,7 +121,6 @@ ProcessMachine::ProcessMachine(net::Topology topo,
     : Machine(std::move(topo)),
       options_(options),
       model_(&topo_, link),
-      epoch_(std::chrono::steady_clock::now()),
       dead_(topo_.num_nodes()),
       sent_to_(topo_.num_nodes()),
       acct_from_(topo_.num_nodes()),
@@ -374,12 +373,6 @@ void ProcessMachine::setup_process(std::vector<int> peer_fds) {
 
 // -- mailbox & routing -------------------------------------------------------
 
-sim::TimeNs ProcessMachine::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
 void ProcessMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
   counters_.sent.fetch_add(1, std::memory_order_relaxed);
@@ -438,44 +431,23 @@ void ProcessMachine::dispatch(Envelope&& env) {
 void ProcessMachine::enqueue(Pe from, Envelope&& env) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push(QueueItem{env.priority, next_seq_++, from, std::move(env)});
+    queue_.push(env.priority, Inbound{from, std::move(env)});
   }
   handoffs_.fetch_add(1, std::memory_order_relaxed);
   queue_cv_.notify_one();
 }
 
 bool ProcessMachine::execute_one() {
-  QueueItem item{0, 0, kInvalidPe, Envelope{}};
+  Inbound item;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (queue_.empty()) return false;
-    item = std::move(const_cast<QueueItem&>(queue_.top()));
-    queue_.pop();
+    item = queue_.pop();
   }
   handoff_pops_.fetch_add(1, std::memory_order_relaxed);
-  const Pe msg_src = item.env.src_pe;
-  const EntryId entry = item.env.entry;
-  const MsgKind kind = item.env.kind;
-  const auto t0 = std::chrono::steady_clock::now();
-  const sim::TimeNs charged = rt_->deliver(std::move(item.env));
-  if (options_.emulate_charge && charged > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(charged));
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (traces_.enabled()) {
-    const auto since = [this](std::chrono::steady_clock::time_point t) {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
-          .count();
-    };
-    traces_.record(static_cast<std::size_t>(self_pe_),
-                   TraceEvent{self_pe_, since(t0), since(t1), msg_src, entry,
-                              kind});
-  }
+  execute_timed(std::move(item.env), self_pe_, options_.emulate_charge,
+                counters_, traces_);
   bool idle_now = false;
-  counters_.busy_ns.fetch_add(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
-      std::memory_order_relaxed);
-  counters_.executed.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     idle_now = queue_.empty();

@@ -47,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -55,6 +54,7 @@
 #include <sys/types.h>
 
 #include "core/machine.hpp"
+#include "core/run_queue.hpp"
 #include "core/trace_rings.hpp"
 #include "net/latency_model.hpp"
 #include "net/socket_fabric.hpp"
@@ -97,7 +97,7 @@ class ProcessMachine final : public Machine {
 
   // -- Machine interface ---------------------------------------------------
   Pe current_pe() const override { return self_pe_; }
-  sim::TimeNs now() const override;
+  sim::TimeNs now() const override { return wall_ns(); }
   void send(Envelope&& env) override;
   void run() override;
   void stop() override;
@@ -120,18 +120,11 @@ class ProcessMachine final : public Machine {
  private:
   enum class Role { kParent, kChild };
 
-  struct QueueItem {
-    Priority priority;
-    std::uint64_t seq;
-    Pe from;  ///< transmitting *process* (quiescence accounting key; the
-              ///< envelope's src_pe can differ when a message was forwarded)
+  struct Inbound {
+    Pe from = kInvalidPe;  ///< transmitting *process* (quiescence accounting
+                           ///< key; the envelope's src_pe can differ when a
+                           ///< message was forwarded)
     Envelope env;
-  };
-  struct Later {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
   };
 
   /// Buffers DeviceHost timers issued before the fork (heartbeat watch,
@@ -224,7 +217,6 @@ class ProcessMachine final : public Machine {
   Role role_ = Role::kParent;
   Pe self_pe_ = 0;
   bool forked_ = false;
-  std::chrono::steady_clock::time_point epoch_;
 
   std::vector<pid_t> pids_;           // parent: child pids (index = pe)
   std::vector<int> ctl_fds_;          // parent: control sockets (index = pe)
@@ -246,8 +238,7 @@ class ProcessMachine final : public Machine {
   // executes from it).
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::priority_queue<QueueItem, std::vector<QueueItem>, Later> queue_;
-  std::uint64_t next_seq_ = 0;
+  RunQueue<Inbound> queue_;
   std::atomic<std::uint64_t> handoffs_{0};      ///< envelopes enqueued
   std::atomic<std::uint64_t> handoff_pops_{0};  ///< queue pops (batches of 1)
   std::atomic<bool> idle_{false};  // child: main thread parked, queue empty

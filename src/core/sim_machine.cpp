@@ -73,10 +73,7 @@ void SimMachine::do_kill(Pe pe) {
   // Everything queued at the PE dies with it. A message being executed
   // right now finishes its busy period, but finish_execution discards
   // the outbox of a dead PE, so nothing it produced escapes.
-  while (!state.queue.empty()) {
-    state.queue.pop();
-    ++state.stats.msgs_dropped;
-  }
+  state.stats.msgs_dropped += state.queue.clear();
 }
 
 void SimMachine::send(Envelope&& env) {
@@ -119,7 +116,7 @@ void SimMachine::enqueue(Pe pe, Envelope&& env) {
     ++state.stats.msgs_dropped;
     return;
   }
-  state.queue.push(QueueItem{env.priority, next_queue_seq_++, std::move(env)});
+  state.queue.push(env.priority, std::move(env));
   ++handoffs_;
   // Defer the scheduling decision into an engine event so that host-side
   // sends issued before run() do not execute synchronously, and so a
@@ -141,8 +138,7 @@ void SimMachine::enqueue(Pe pe, Envelope&& env) {
 void SimMachine::execute_next(Pe pe) {
   PeState& state = pes_[static_cast<std::size_t>(pe)];
   MDO_CHECK(!state.busy && !state.queue.empty());
-  QueueItem item = std::move(const_cast<QueueItem&>(state.queue.top()));
-  state.queue.pop();
+  Envelope env = state.queue.pop();
   state.busy = true;
 
   const sim::TimeNs t_start = engine_.now();
@@ -151,14 +147,14 @@ void SimMachine::execute_next(Pe pe) {
   exec_pe_ = pe;
   outbox_.clear();
 
-  const Pe msg_src = item.env.src_pe;
-  const EntryId entry = item.env.entry;
-  const MsgKind kind = item.env.kind;
+  const Pe msg_src = env.src_pe;
+  const EntryId entry = env.entry;
+  const MsgKind kind = env.kind;
   // Counted at dequeue so that (sent, executed) totals observed from
   // inside a handler are symmetric — the quiescence detector's waves
   // rely on seeing their own message in both counters.
   ++state.stats.msgs_executed;
-  sim::TimeNs charged = rt_->deliver(std::move(item.env));
+  sim::TimeNs charged = rt_->deliver(std::move(env));
 
   executing_ = false;
   // Park the outbox in the PE's slot (swap keeps both vectors' capacity
@@ -234,12 +230,6 @@ PeStats SimMachine::pe_stats(Pe pe) const {
 void SimMachine::advance_time(sim::TimeNs dt) {
   MDO_CHECK(dt >= 0);
   engine_.run_until(engine_.now() + dt);
-}
-
-std::uint64_t SimMachine::total_executed() const {
-  std::uint64_t total = 0;
-  for (const auto& pe : pes_) total += pe.stats.msgs_executed;
-  return total;
 }
 
 }  // namespace mdo::core

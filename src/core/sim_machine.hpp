@@ -7,10 +7,10 @@
 // every benchmark table and figure.
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/run_queue.hpp"
 #include "net/latency_model.hpp"
 #include "net/sim_fabric.hpp"
 #include "sim/engine.hpp"
@@ -66,23 +66,9 @@ class SimMachine final : public Machine {
   std::vector<TraceEvent> trace() const override { return trace_; }
   void trace_phase(std::int32_t phase) override;
 
-  /// Total messages executed across PEs (test/bench convenience).
-  std::uint64_t total_executed() const;
-
  private:
-  struct QueueItem {
-    Priority priority;
-    std::uint64_t seq;
-    Envelope env;
-  };
-  struct Later {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;  // FIFO within a priority level
-    }
-  };
   struct PeState {
-    std::priority_queue<QueueItem, std::vector<QueueItem>, Later> queue;
+    RunQueue<Envelope> queue;
     /// Sends buffered by the entry executing on this PE, parked here until
     /// its busy period ends. A per-PE slot (instead of a move-captured
     /// vector) keeps the busy-end event small enough for std::function's
@@ -113,7 +99,6 @@ class SimMachine final : public Machine {
   std::unique_ptr<net::SimFabric> fabric_;
 
   std::vector<PeState> pes_;
-  std::uint64_t next_queue_seq_ = 0;
   std::uint64_t handoffs_ = 0;      ///< envelopes enqueued onto PE queues
   std::uint64_t wake_batches_ = 0;  ///< coalesced zero-delay wake events
 

@@ -23,8 +23,7 @@ ThreadMachine::ThreadMachine(net::Topology topo,
                              net::GridLatencyModel::Config link, MachineOptions options)
     : Machine(std::move(topo)),
       options_(options),
-      model_(&topo_, link),
-      start_(std::chrono::steady_clock::now()) {
+      model_(&topo_, link) {
   fabric_ = std::make_unique<net::ThreadFabric>(&topo_, &model_, net::Chain{});
   fabric_->set_node_up_probe([this](net::NodeId node) {
     return !workers_[static_cast<std::size_t>(node)]->dead.load(
@@ -33,7 +32,7 @@ ThreadMachine::ThreadMachine(net::Topology topo,
   workers_.reserve(topo_.num_nodes());
   for (std::size_t pe = 0; pe < topo_.num_nodes(); ++pe) {
     auto worker = std::make_unique<PeWorker>();
-    worker->inbox = std::make_unique<obs::MpscRing<QueueItem>>(kInboxCapacity);
+    worker->inbox = std::make_unique<obs::MpscRing<Envelope>>(kInboxCapacity);
     worker->batch.reserve(kPopBatch);
     workers_.push_back(std::move(worker));
   }
@@ -67,7 +66,7 @@ ThreadMachine::ThreadMachine(net::Topology topo,
                   worker->overflow_count.load(std::memory_order_relaxed);
       s.handoffs += worker->inbox->pushed();
       s.handoff_batches += worker->inbox->batches();
-      s.handoff_fallbacks += worker->inbox->full_rejects();
+      s.handoff_fallbacks += worker->spilled.load(std::memory_order_relaxed);
     }
     s.shards = workers_.size();
     return s;
@@ -118,12 +117,6 @@ Pe ThreadMachine::current_pe() const {
   return t_current_pe == kInvalidPe ? 0 : t_current_pe;
 }
 
-sim::TimeNs ThreadMachine::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
 void ThreadMachine::send(Envelope&& env) {
   MDO_CHECK(env.dst_pe >= 0 && env.dst_pe < num_pes());
   // Charged to the source PE; host-thread sends act as PE 0.
@@ -133,8 +126,8 @@ void ThreadMachine::send(Envelope&& env) {
   route(std::move(env));
 }
 
-void ThreadMachine::drop_pending() {
-  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+void ThreadMachine::settle(std::int64_t n) {
+  if (n > 0 && pending_.fetch_sub(n, std::memory_order_acq_rel) == n) {
     std::lock_guard<std::mutex> lock(done_mutex_);
     done_cv_.notify_all();
   }
@@ -149,7 +142,7 @@ void ThreadMachine::route(Envelope&& env) {
     // from dead nodes, but keeps the pending count balanced).
     workers_[static_cast<std::size_t>(env.src_pe)]->counters.dropped.fetch_add(
         1, std::memory_order_relaxed);
-    drop_pending();
+    settle();
     return;
   }
   if (env.dst_pe == env.src_pe) {
@@ -175,18 +168,19 @@ void ThreadMachine::enqueue(Pe pe, Envelope&& env) {
     // the inbox and is discarded by the worker's drain pump instead —
     // either way the pending count stays balanced.
     worker.counters.dropped.fetch_add(1, std::memory_order_relaxed);
-    drop_pending();
+    settle();
     return;
   }
-  QueueItem item{env.priority, next_seq_.fetch_add(1, std::memory_order_relaxed),
-                 std::move(env)};
-  if (!worker.inbox->try_push(std::move(item))) {
-    // Ring full: spill to the overflow list under the mutex. Rare by
-    // construction (the ring absorbs bursts), and never drops.
+  if (worker.overflow_count.load(std::memory_order_acquire) > 0 ||
+      !worker.inbox->try_push(std::move(env))) {
+    // Spill to the overflow list under the mutex: the ring is full, or
+    // earlier envelopes wait there that this one must not overtake. Rare
+    // by construction (the ring absorbs bursts), and never drops.
     std::lock_guard<std::mutex> lock(worker.mutex);
-    worker.overflow.push_back(std::move(item));
+    worker.overflow.push_back(std::move(env));
     worker.overflow_count.store(worker.overflow.size(),
                                 std::memory_order_release);
+    worker.spilled.fetch_add(1, std::memory_order_relaxed);
     worker.cv.notify_one();
     return;
   }
@@ -200,31 +194,22 @@ void ThreadMachine::enqueue(Pe pe, Envelope&& env) {
   }
 }
 
-std::size_t ThreadMachine::refill_runq(PeWorker& worker) {
+void ThreadMachine::refill_runq(PeWorker& worker) {
   worker.batch.clear();
-  std::size_t moved = worker.inbox->pop_batch(worker.batch, kPopBatch);
+  worker.inbox->pop_batch(worker.batch, kPopBatch);
   if (worker.overflow_count.load(std::memory_order_acquire) > 0) {
+    // The ring first: a sender that spilled had pushed its earlier
+    // envelopes to the ring before taking this mutex, so they are all
+    // in what drain() waits for.
     std::lock_guard<std::mutex> lock(worker.mutex);
-    for (QueueItem& item : worker.overflow) {
-      worker.batch.push_back(std::move(item));
-      ++moved;
-    }
+    worker.inbox->drain(worker.batch);
+    for (Envelope& env : worker.overflow) worker.batch.push_back(std::move(env));
     worker.overflow.clear();
     worker.overflow_count.store(0, std::memory_order_release);
   }
-  for (QueueItem& item : worker.batch) worker.runq.push(std::move(item));
-  return moved;
-}
-
-void ThreadMachine::discard_runq(PeWorker& worker) {
-  std::size_t drained = 0;
-  while (!worker.runq.empty()) {
-    worker.runq.pop();
-    ++drained;
+  for (Envelope& env : worker.batch) {
+    worker.runq.push(env.priority, std::move(env));
   }
-  worker.runq_depth.store(0, std::memory_order_relaxed);
-  worker.counters.dropped.fetch_add(drained, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < drained; ++i) drop_pending();
 }
 
 void ThreadMachine::worker_loop(Pe pe) {
@@ -238,7 +223,10 @@ void ThreadMachine::worker_loop(Pe pe) {
       // Drain pump: a killed PE never executes again, but its worker
       // keeps consuming (and discarding) whatever still lands in the
       // inbox so quiescence accounting cannot strand.
-      discard_runq(worker);
+      const std::size_t dropped = worker.runq.clear();
+      worker.runq_depth.store(0, std::memory_order_relaxed);
+      worker.counters.dropped.fetch_add(dropped, std::memory_order_relaxed);
+      settle(static_cast<std::int64_t>(dropped));
     }
 
     if (worker.runq.empty()) {
@@ -257,47 +245,17 @@ void ThreadMachine::worker_loop(Pe pe) {
       continue;
     }
 
-    QueueItem item = std::move(const_cast<QueueItem&>(worker.runq.top()));
-    worker.runq.pop();
+    Envelope env = worker.runq.pop();
     worker.runq_depth.store(worker.runq.size(), std::memory_order_relaxed);
-
-    // Captured before the move: the envelope is gone once delivered, but
-    // the trace event still needs its provenance.
-    const Pe msg_src = item.env.src_pe;
-    const EntryId entry = item.env.entry;
-    const MsgKind kind = item.env.kind;
-
-    auto t0 = std::chrono::steady_clock::now();
-    sim::TimeNs charged = rt_->deliver(std::move(item.env));
-    if (options_.emulate_charge && charged > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(charged));
-    }
-    auto t1 = std::chrono::steady_clock::now();
-
-    if (traces_.enabled()) {
-      const auto since_start = [this](std::chrono::steady_clock::time_point t) {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(t - start_)
-            .count();
-      };
-      traces_.record(static_cast<std::size_t>(pe),
-                     TraceEvent{pe, since_start(t0), since_start(t1), msg_src,
-                                entry, kind});
-    }
-
-    worker.counters.busy_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
-        std::memory_order_relaxed);
-    worker.counters.executed.fetch_add(1, std::memory_order_relaxed);
+    execute_timed(std::move(env), pe, options_.emulate_charge, worker.counters,
+                  traces_);
 
     const bool idle_now =
         worker.runq.empty() && !worker.inbox->consumer_has_items();
     if (idle_now && on_pe_idle_ && !worker.dead.load(std::memory_order_acquire))
       on_pe_idle_(pe);
 
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex_);
-      done_cv_.notify_all();
-    }
+    settle();
   }
 }
 

@@ -9,11 +9,11 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/run_queue.hpp"
 #include "core/trace_rings.hpp"
 #include "net/latency_model.hpp"
 #include "net/thread_fabric.hpp"
@@ -42,7 +42,7 @@ class ThreadMachine final : public Machine {
 
   // -- Machine interface --------------------------------------------------
   Pe current_pe() const override;
-  sim::TimeNs now() const override;
+  sim::TimeNs now() const override { return wall_ns(); }
   void send(Envelope&& env) override;
   void run() override;
   void stop() override;
@@ -62,31 +62,24 @@ class ThreadMachine final : public Machine {
   void trace_phase(std::int32_t phase) override;
 
  private:
-  struct QueueItem {
-    Priority priority;
-    std::uint64_t seq;
-    Envelope env;
-  };
-  struct Later {
-    bool operator()(const QueueItem& a, const QueueItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
   /// Sharded scheduler: each PE owns a lock-free MPSC inbox ring (any
   /// thread pushes, only this PE's worker pops — in batches) feeding a
-  /// consumer-private priority run queue. The mutex+cv pair exists only
-  /// for the sleep/wake handshake and the ring-full overflow list; the
+  /// consumer-private RunQueue. The mutex+cv pair exists only for the
+  /// sleep/wake handshake and the ring-full overflow list; the
   /// steady-state handoff takes no lock. The publish store in the ring
   /// and the `sleeping` flag are both seq_cst, so a producer that reads
   /// sleeping==false and a consumer that reads ring-empty cannot both
-  /// happen (store-buffering litmus) — no wake-up is ever lost.
+  /// happen (store-buffering litmus) — no wake-up is ever lost. The
+  /// RunQueue keeps no seq, so each sender's envelopes must reach it in
+  /// send order: a producer spills while the overflow is non-empty, and
+  /// the refill empties the ring, under the mutex, before the overflow.
   struct PeWorker {
-    std::unique_ptr<obs::MpscRing<QueueItem>> inbox;
+    std::unique_ptr<obs::MpscRing<Envelope>> inbox;
     std::mutex mutex;              ///< sleep/wake + overflow only
     std::condition_variable cv;
-    std::vector<QueueItem> overflow;  ///< ring-full fallback (never drops)
+    std::vector<Envelope> overflow;  ///< ring-full fallback (never drops)
     std::atomic<std::size_t> overflow_count{0};
+    std::atomic<std::uint64_t> spilled{0};  ///< envelopes sent to overflow
     std::atomic<bool> sleeping{false};
     std::atomic<bool> dead{false};  ///< fail-stop: set once, never cleared
 
@@ -96,28 +89,26 @@ class ThreadMachine final : public Machine {
     std::atomic<std::size_t> runq_depth{0};  ///< metrics snapshot
 
     // Consumer-private state: only the worker thread touches these.
-    std::priority_queue<QueueItem, std::vector<QueueItem>, Later> runq;
-    std::vector<QueueItem> batch;  ///< pop_batch scratch
+    RunQueue<Envelope> runq;
+    std::vector<Envelope> batch;  ///< pop_batch scratch
     std::thread thread;
   };
 
   void worker_loop(Pe pe);
-  /// Move everything from inbox/overflow into the consumer-private runq.
-  /// Returns the number of items transferred. Worker thread only.
-  std::size_t refill_runq(PeWorker& worker);
-  /// Discard the runq of a crashed PE, balancing the pending count.
-  void discard_runq(PeWorker& worker);
+  /// Move a batch from the inbox, and the whole overflow if it is
+  /// non-empty, into the consumer-private runq. Worker thread only.
+  void refill_runq(PeWorker& worker);
   void enqueue(Pe pe, Envelope&& env);
   void route(Envelope&& env);
-  /// A message left the pending count without executing (crashed PE).
-  void drop_pending();
+  /// `n` messages left the system (executed, or dropped at a crashed
+  /// PE); wakes run() when none is left.
+  void settle(std::int64_t n = 1);
 
   MachineOptions options_;
   net::GridLatencyModel model_;
   std::unique_ptr<net::ThreadFabric> fabric_;
 
   std::vector<std::unique_ptr<PeWorker>> workers_;
-  std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<bool> stopping_{false};
 
   TraceRings traces_;
@@ -129,8 +120,6 @@ class ThreadMachine final : public Machine {
   std::atomic<std::int64_t> pending_{0};
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
-
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace mdo::core

@@ -253,24 +253,6 @@ struct Scenario {
     return *this;
   }
 
-  /// Diurnal (square-wave) latency on the symmetric cluster pair a<->b:
-  /// starting from the static latency, the link flips to `high` at
-  /// half_period, back to `low` at 2*half_period, and so on until
-  /// `horizon` — the bursty/changing-latency environment where a static
-  /// flush window must lose to an adaptive one at one end of the wave.
-  Scenario& with_diurnal_link(net::ClusterId a, net::ClusterId b,
-                              sim::TimeNs low, sim::TimeNs high,
-                              sim::TimeNs half_period, sim::TimeNs horizon) {
-    bool high_phase = true;
-    for (sim::TimeNs at = half_period; at < horizon; at += half_period) {
-      const sim::TimeNs latency = high_phase ? high : low;
-      link_drifts.push_back({a, b, at, latency});
-      link_drifts.push_back({b, a, at, latency});
-      high_phase = !high_phase;
-    }
-    return *this;
-  }
-
   /// Entry-interval tracing on the built machine (both machine kinds).
   Scenario& with_tracing(bool on = true) {
     tracing = on;

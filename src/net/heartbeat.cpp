@@ -167,10 +167,6 @@ void HeartbeatDevice::transition(std::size_t j, PeerState to,
   // The stack listener first (quarantine/resume/abandon must settle
   // before recovery or application callbacks react to the verdict).
   if (listener_) listener_(node, from, to, now);
-  if (to == PeerState::kSuspect && on_peer_suspect_) {
-    on_peer_suspect_(node, now);
-  }
-  if (to == PeerState::kAlive && on_peer_alive_) on_peer_alive_(node, now);
   if (to == PeerState::kDead && on_peer_dead_) on_peer_dead_(node, now);
 }
 

@@ -9,7 +9,7 @@
 // Detection is a per-peer three-state machine, not a binary verdict:
 //
 //   alive --silence > timeout--> suspect --silence > confirm_window--> dead
-//     ^         (on_peer_suspect)   |          (on_peer_dead, once)
+//     ^                             |          (on_peer_dead, once)
 //     +--any frame / probe evidence-+
 //
 // Silence alone only raises *suspicion* — on a grid, a quiet peer is at
@@ -98,17 +98,6 @@ class HeartbeatDevice final : public FilterDevice {
   using PeerDeadFn = std::function<void(NodeId node, sim::TimeNs when)>;
   void set_on_peer_dead(PeerDeadFn fn) { on_peer_dead_ = std::move(fn); }
 
-  /// Fired every time a peer transitions alive -> suspect (may repeat
-  /// across demotions). Fabric context.
-  using PeerSuspectFn = std::function<void(NodeId node, sim::TimeNs when)>;
-  void set_on_peer_suspect(PeerSuspectFn fn) {
-    on_peer_suspect_ = std::move(fn);
-  }
-
-  /// Fired every time a suspect is demoted back to alive. Fabric context.
-  using PeerAliveFn = std::function<void(NodeId node, sim::TimeNs when)>;
-  void set_on_peer_alive(PeerAliveFn fn) { on_peer_alive_ = std::move(fn); }
-
   /// Single listener observing every state transition (the reliability
   /// stack uses it to quarantine/resume/abandon flows). Fabric context.
   using StateListenerFn = std::function<void(NodeId node, PeerState from,
@@ -164,8 +153,6 @@ class HeartbeatDevice final : public FilterDevice {
   const Topology* topo_;
   HeartbeatConfig config_;
   PeerDeadFn on_peer_dead_;
-  PeerSuspectFn on_peer_suspect_;
-  PeerAliveFn on_peer_alive_;
   StateListenerFn listener_;
 
   sim::TimeNs deadline_ = 0;  ///< watch horizon end (fabric time)

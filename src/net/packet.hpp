@@ -22,8 +22,6 @@ struct Packet {
                                  ///< device (fault-injected jitter); consumed
                                  ///< by the fabric, never serialized
   Bytes payload;
-
-  std::size_t size_bytes() const { return payload.size(); }
 };
 
 }  // namespace mdo::net

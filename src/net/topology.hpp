@@ -73,8 +73,6 @@ class Topology {
     return link != nullptr ? *link : fallback;
   }
 
-  bool has_wan_links() const { return !links_.empty(); }
-
   /// Largest one-way latency over the WAN links actually usable by
   /// traffic — directed pairs of distinct clusters that both contain at
   /// least one node — using `fallback` for pairs without a table entry.

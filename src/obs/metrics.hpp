@@ -122,8 +122,6 @@ class MetricRegistry {
 
   Snapshot snapshot() const;
 
-  std::size_t num_sources() const { return sources_.size(); }
-
  private:
   std::vector<std::pair<std::string, SourceFn>> sources_;
 };

@@ -3,8 +3,8 @@
 // sequence ring). ThreadMachine gives each PE worker one of these as its
 // cross-PE envelope inbox: any thread may try_push, only the owning
 // worker pops — in batches, so a broadcast landing a burst of envelopes
-// pays one wake-up and one priority-queue refill per batch instead of a
-// mutex acquisition per message.
+// pays one wake-up and one run-queue refill per batch instead of a mutex
+// acquisition per message.
 //
 // Guarantees:
 //  - per-producer FIFO: two pushes by one thread are popped in order
@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,22 @@ class MpscRing {
       dequeue_pos_.store(pos, std::memory_order_relaxed);
       popped_.fetch_add(popped, std::memory_order_relaxed);
       batches_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return popped;
+  }
+
+  /// Single-consumer full drain: appends every item whose ticket was
+  /// claimed before the call, in ticket order, yielding while a producer
+  /// still publishes one. A caller holding a lock that a producer took
+  /// after its try_push returned is thus sure to receive that item.
+  std::size_t drain(std::vector<T>& out) {
+    const std::size_t end = enqueue_pos_.load(std::memory_order_relaxed);
+    std::size_t popped = 0;
+    while (dequeue_pos_.load(std::memory_order_relaxed) != end) {
+      const std::size_t n = pop_batch(
+          out, end - dequeue_pos_.load(std::memory_order_relaxed));
+      if (n == 0) std::this_thread::yield();
+      popped += n;
     }
     return popped;
   }

@@ -20,7 +20,6 @@ constexpr TimeNs milliseconds(double ms) {
 }
 constexpr TimeNs seconds(double s) { return static_cast<TimeNs>(s * 1e9); }
 
-constexpr double to_us(TimeNs t) { return static_cast<double>(t) / 1e3; }
 constexpr double to_ms(TimeNs t) { return static_cast<double>(t) / 1e6; }
 constexpr double to_s(TimeNs t) { return static_cast<double>(t) / 1e9; }
 

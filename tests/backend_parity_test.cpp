@@ -104,6 +104,44 @@ ParityRun run_reduction(grid::Backend backend, int rounds) {
   return out;
 }
 
+/// Self-sends one message per priority in kPrios and records the order
+/// in which they run.
+struct Orderer : core::Chare {
+  static constexpr core::Priority kPrios[] = {3, -2, 0, -2, 0, 3};
+  std::vector<std::int32_t> ran;
+  void start() {
+    auto self = runtime().proxy<Orderer>(array_id());
+    for (std::int32_t i = 0; i < 6; ++i) {
+      self.send_prio<&Orderer::note>(kPrios[i], index(), i);
+    }
+  }
+  void note(std::int32_t i) { ran.push_back(i); }
+  void pup(Pup& p) override {
+    Chare::pup(p);
+    p | ran;
+  }
+};
+
+TEST(BackendParity, PriorityThenFifoOnEveryBackend) {
+  // All six self-sends are queued before any runs (the sending entry is
+  // still executing), so the PE's run queue alone orders them: most
+  // urgent priority first, send order within one.
+  for (grid::Backend b : kBackends) {
+    core::MachineOptions opts;
+    opts.emulate_charge = false;
+    Runtime rt(grid::make_machine(
+        grid::Scenario::artificial(4, sim::milliseconds(2.0)), b, opts));
+    auto proxy = rt.create_array<Orderer>(
+        "order", core::indices_1d(1), core::block_map_1d(1, 4),
+        [](const Index&) { return std::make_unique<Orderer>(); });
+    proxy.send<&Orderer::start>(Index(0));
+    rt.run();
+    EXPECT_EQ(proxy.local(Index(0))->ran,
+              (std::vector<std::int32_t>{1, 3, 2, 4, 0, 5}))
+        << backend_name(b);
+  }
+}
+
 TEST(BackendParity, ReductionValueAgreesEverywhere) {
   for (grid::Backend b : kBackends) {
     ParityRun r = run_reduction(b, 3);

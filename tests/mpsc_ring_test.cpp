@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -189,6 +190,48 @@ TEST(MpscRing, SingleProducerSurvivesMillionItemThroughput) {
   producer.join();
   EXPECT_EQ(ring.pushed(), total);
   EXPECT_EQ(ring.popped(), total);
+}
+
+TEST(MpscRing, DrainReceivesEveryPushThatHappenedBeforeIt) {
+  // Producers push, then publish how many they pushed under a mutex; the
+  // consumer drains under the same mutex. Whatever a producer had
+  // published must be in hand after that drain, even when another
+  // producer's ticket ahead of it is claimed but not yet written.
+  constexpr std::uint32_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 20'000;
+  MpscRing<Item> ring(64);
+  std::mutex mutex;
+  std::vector<std::uint64_t> published(kProducers, 0);
+  std::vector<std::thread> threads;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        while (!ring.try_push(Item{p, i})) std::this_thread::yield();
+        std::lock_guard<std::mutex> lock(mutex);
+        published[p] = i + 1;
+      }
+    });
+  }
+  // Failures are counted, not asserted, so the loop keeps draining and
+  // the producers can finish and be joined.
+  std::vector<std::uint64_t> next(kProducers, 0);
+  std::uint64_t drained = 0, out_of_order = 0, missed = 0;
+  std::vector<Item> out;
+  while (drained < kProducers * kPerProducer) {
+    std::lock_guard<std::mutex> lock(mutex);
+    out.clear();
+    drained += ring.drain(out);
+    for (const Item& item : out) {
+      if (item.seq != next[item.producer]) ++out_of_order;
+      next[item.producer] = item.seq + 1;
+    }
+    for (std::uint32_t p = 0; p < kProducers; ++p) {
+      if (next[p] < published[p]) ++missed;
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_EQ(missed, 0u);
 }
 
 }  // namespace

@@ -109,4 +109,38 @@ TEST(ThreadStress, RepeatedRunsReuseWarmPools) {
   }
 }
 
+/// Self-sends a burst to its own element; records the order they run in.
+struct SelfSender : Chare {
+  std::vector<std::int32_t> ran;
+  void burst(std::int32_t n) {
+    auto self = runtime().proxy<SelfSender>(array_id());
+    for (std::int32_t i = 0; i < n; ++i) {
+      self.send<&SelfSender::note>(index(), i);
+    }
+  }
+  void note(std::int32_t i) { ran.push_back(i); }
+  void pup(Pup& p) override { Chare::pup(p); }
+};
+
+TEST(ThreadStress, InboxOverflowKeepsOneSendersOrder) {
+  // The worker executes `burst` while its own inbox fills: past the
+  // 1024-slot ring every self-send spills to the overflow list. Run
+  // queues are FIFO per priority with no sequence number, so the refill
+  // must hand ring and overflow over in send order.
+  constexpr std::int32_t kMsgs = 4 * 1024;
+  Runtime rt(make_machine(2));
+  auto proxy = rt.create_array<SelfSender>(
+      "self", core::indices_1d(1), core::block_map_1d(1, 2),
+      [](const Index&) { return std::make_unique<SelfSender>(); });
+  proxy.send<&SelfSender::burst>(Index(0), kMsgs);
+  rt.run();
+
+  EXPECT_GT(rt.machine().metrics().snapshot().counter(
+                "rt.sched.shard.handoff_fallbacks"),
+            0u);
+  std::vector<std::int32_t> expected(kMsgs);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(proxy.local(Index(0))->ran, expected);
+}
+
 }  // namespace
